@@ -8,8 +8,9 @@ from .bath import (BathSpec, EnvInitState, Partition, SystemSpec,
                    couplings_from_masses, make_partition, sample_bath,
                    sample_frequencies, validate_offresonance)
 from .fullmodel import (FactorSeries, FullAmplitude, ResonanceError, TimeAverage,
-                        alpha_sq_full, alpha_sq_squeezed, b_full, full_amplitude,
-                        gamma_full, re_alpha_sq_full, time_average_numeric)
+                        TorusAverage, alpha_sq_full, alpha_sq_squeezed, b_full,
+                        full_amplitude, gamma_full, re_alpha_sq_full,
+                        time_average_numeric, torus_average)
 from .pqml import (AvgResult, PqmlPropagator, ScalingPrediction, avg_analytic,
                    avg_asymptotic, b_pqml, check_large_separation,
                    freq_averaged_scaling, gamma_pqml, pqml_propagator)

@@ -1,15 +1,17 @@
 """Decision layer: SBS-formation verdicts, formation times, macrofraction
 scaling and the (temperature, squeezing) scan engine.
 
-A scan evaluates the time-averaged decoherence factor over the unobserved
-set and the time-averaged distinguishability factor over the first observed
-macrofraction, with a single bath (one frequency draw) for the whole grid.
+A scan evaluates the infinite-time averaged decoherence factor over the
+unobserved set and the infinite-time averaged distinguishability factor over
+the first observed macrofraction, with a single bath (one frequency draw)
+for the whole grid.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,7 +55,10 @@ class ScalingResult:
 @dataclass(frozen=True)
 class ScanGrid:
     """Averaged factors on a (temperature, squeezing) grid; matrices are
-    indexed [temperature, squeezing]."""
+    indexed [temperature, squeezing]. quadrature holds, JSON-ready, how the
+    averages were computed: the method, the tolerance, the (K_theta, K_phi)
+    nodes and whether the node cap was hit per factor and r, and the
+    per-cell convergence matrices."""
 
     t_values: tuple[float, ...]
     r_values: tuple[float, ...]
@@ -61,6 +66,7 @@ class ScanGrid:
     avg_b: tuple[tuple[float, ...], ...]
     bath_fingerprint: dict = field(default_factory=dict)
     partition_descriptor: dict = field(default_factory=dict)
+    quadrature: dict = field(default_factory=dict)
 
     def to_csv_text(self) -> str:
         lines = ["T,r,avg_gamma,avg_b"]
@@ -78,6 +84,7 @@ class ScanGrid:
             "avg_b": [list(row) for row in self.avg_b],
             "bath_fingerprint": dict(self.bath_fingerprint),
             "partition_descriptor": dict(self.partition_descriptor),
+            **self.quadrature,
         }
 
 
@@ -184,17 +191,31 @@ def _qml_formation_prediction(params: qml.QmlParams, partition: Partition,
     return max(times) if times else 0.0
 
 
+def _axis_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"axis {what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def resolve_axis(spec: dict) -> np.ndarray:
-    """Grid axis from {'values': [...]} or {'min','max','points','log'}."""
+    """Grid axis from {'values': [...]} or {'min','max','points','log'};
+    every value must be a finite number."""
     if "values" in spec:
-        vals = np.asarray(spec["values"], dtype=float)
-        if vals.size == 0:
+        try:
+            values = [_axis_number(v, "value") for v in spec["values"]]
+        except TypeError as exc:
+            raise ValueError("axis values must be a list of numbers") from exc
+        if not values:
             raise ValueError("axis value list must be non-empty")
-        return vals
+        return np.array(values)
     try:
         lo, hi, points = spec["min"], spec["max"], int(spec["points"])
     except KeyError as exc:
         raise ValueError(f"axis spec missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError("axis points must be an integer") from exc
+    lo, hi = _axis_number(lo, "min"), _axis_number(hi, "max")
     if points < 1 or lo > hi:
         raise ValueError("axis spec requires points >= 1 and min <= max")
     if spec.get("log", False):
@@ -205,88 +226,72 @@ def resolve_axis(spec: dict) -> np.ndarray:
 
 
 def scan_tr(bath: BathSpec, system: SystemSpec, partition: Partition,
-            t_range: dict, r_range: dict, tau: float | None = None,
-            n_samples: int | None = None, threads: int = 1,
-            units: UnitContext = SI_UNITS,
-            bath_fingerprint: dict | None = None,
-            chunk: int = 1 << 17) -> ScanGrid:
-    """Time-averaged (gamma, b) over a temperature x squeezing grid.
+            t_range: dict, r_range: dict, units: UnitContext = SI_UNITS,
+            bath_fingerprint: dict | None = None) -> ScanGrid:
+    """Infinite-time averaged (gamma, b) over a temperature x squeezing grid.
 
-    One bath for the whole grid. The per-oscillator amplitude trajectories
-    are computed once per time chunk and reused across every grid point, so
-    the cost is dominated by the exp() of the weighted sums. Results do not
-    depend on the thread count or evaluation order.
+    One bath for the whole grid. Each (factor, r) column is one call of
+    fullmodel.torus_average, which replaces the time average by the average
+    over independent oscillator and system phases and refines a periodic
+    trapezoid rule on that torus until it converges. Its cost is the exp()
+    of the exponent at every node, for every temperature and oscillator.
+    ScanGrid.quadrature records the rule used and each cell's convergence.
+    The output is deterministic, and at fixed r avg_gamma is non-increasing
+    and avg_b non-decreasing in T exactly.
     """
     partition.validate_against(bath.n)
     temps = resolve_axis(t_range)
     rs = resolve_axis(r_range)
     if np.any(temps <= 0):
         raise ValueError("temperatures must be strictly positive")
-    if tau is None:
-        tau = fullmodel.default_averaging_time(bath)
-    if n_samples is None:
-        n_samples = fullmodel.default_sample_count(bath, system, tau)
 
     idx_g = partition.unobserved
     idx_b = partition.macrofractions[0] if partition.macrofractions else ()
-    union = sorted(set(idx_g) | set(idx_b))
-    pos = {i: j for j, i in enumerate(union)}
-    rows_g = [pos[i] for i in idx_g]
-    rows_b = [pos[i] for i in idx_b]
-    w_u, m_u, c_u = bath.arrays(union)
-
-    # thermal weights per temperature, (nT, k)
-    args = units.hbar * np.outer(1.0 / temps, w_u) / (2.0 * units.k_boltzmann)
+    fullmodel._check_resonance(bath.arrays(sorted(set(idx_g) | set(idx_b)))[0],
+                               system.omega_big)
+    # thermal weights per temperature, (nT, bath.n)
+    args = units.hbar * np.outer(1.0 / temps, bath.omegas) / (2.0 * units.k_boltzmann)
     th = np.tanh(args)
-    weights_g = (1.0 / th)[:, rows_g]
-    weights_b = th[:, rows_b]
-    half_dx2 = 0.5 * system.dx ** 2
+    columns = {}
+    for factor, idx, weights in (("gamma", idx_g, 1.0 / th), ("b", idx_b, th)):
+        if len(set(bath.arrays(idx)[0].tolist())) != len(idx):
+            warnings.warn(f"duplicate bath frequencies in the {factor} set: the "
+                          "independent-phase average does not hold for them",
+                          stacklevel=2)
+        columns[factor] = [
+            fullmodel.torus_average(bath, system, idx, weights[:, list(idx)],
+                                    float(r), units) for r in rs]
+        for r, col in zip(rs, columns[factor]):
+            if max(col.convergence, default=0.0) > fullmodel.TORUS_TOLERANCE:
+                warnings.warn(f"{factor} average at r={r:g} not converged with "
+                              f"{col.nodes} nodes", stacklevel=2)
 
-    sums_g = np.zeros((len(temps), len(rs)))
-    sums_b = np.zeros((len(temps), len(rs)))
-    dt = tau / n_samples
+    def by_temperature(cols, values):
+        """[T][r] matrix from per-r columns."""
+        return tuple(zip(*(values(col) for col in cols)))
 
-    def column(j: int, amp: np.ndarray, re2: np.ndarray):
-        r = rs[j]
-        if r == 0.0:
-            ampl = amp
-        else:
-            ampl = math.cosh(2.0 * r) * (amp - math.tanh(2.0 * r) * re2)
-        pg = np.exp(-half_dx2 * (weights_g @ ampl[rows_g])).sum(axis=1) if rows_g \
-            else np.full(len(temps), float(ampl.shape[1]))
-        pb = np.exp(-half_dx2 * (weights_b @ ampl[rows_b])).sum(axis=1) if rows_b \
-            else np.full(len(temps), float(ampl.shape[1]))
-        return j, pg, pb
-
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        tt = (np.arange(start, stop) + 0.5) * dt
-        amp = np.empty((len(union), len(tt)))
-        re2 = np.empty((len(union), len(tt)))
-        for k, (wk, mk, ck) in enumerate(zip(w_u, m_u, c_u)):
-            amp[k] = fullmodel.alpha_sq_full(tt, wk, system.omega_big, mk, ck, units)
-            re2[k] = fullmodel.re_alpha_sq_full(tt, wk, system.omega_big, mk, ck, units)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda j: column(j, amp, re2), range(len(rs))))
-        else:
-            results = [column(j, amp, re2) for j in range(len(rs))]
-        for j, pg, pb in results:
-            sums_g[:, j] += pg
-            sums_b[:, j] += pb
-
-    avg_g = sums_g / n_samples
-    avg_b = sums_b / n_samples
+    quadrature = {
+        "average": "infinite-time torus quadrature",
+        "quadrature_tolerance": fullmodel.TORUS_TOLERANCE,
+        "quadrature_nodes": {f: [list(c.nodes) for c in cols]
+                             for f, cols in columns.items()},
+        "quadrature_capped": {f: [c.capped for c in cols]
+                              for f, cols in columns.items()},
+        "convergence": {f: [list(row) for row in
+                            by_temperature(cols, lambda c: c.convergence)]
+                        for f, cols in columns.items()},
+    }
     return ScanGrid(
         t_values=tuple(float(t) for t in temps),
         r_values=tuple(float(r) for r in rs),
-        avg_gamma=tuple(tuple(float(v) for v in row) for row in avg_g),
-        avg_b=tuple(tuple(float(v) for v in row) for row in avg_b),
+        avg_gamma=by_temperature(columns["gamma"], lambda c: map(math.exp, c.log_value)),
+        avg_b=by_temperature(columns["b"], lambda c: map(math.exp, c.log_value)),
         bath_fingerprint=dict(bath_fingerprint or {"n": bath.n}),
         partition_descriptor={
             "unobserved_size": len(idx_g),
             "mac_sizes": [len(mac) for mac in partition.macrofractions],
-        })
+        },
+        quadrature=quadrature)
 
 
 def macrofraction_scaling(regime: str, sizes: Sequence[int], *,

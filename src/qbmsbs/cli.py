@@ -2,7 +2,9 @@
 
 Subcommands: qml | pqml | full emit a time series CSV (t, gamma, b) with a
 JSON sidecar holding analytic quantities; scan emits a long-format grid CSV
-(T, r, avg_gamma, avg_b); selftest runs the cross-module identity suite.
+(T, r, avg_gamma, avg_b) of infinite-time averages, with the quadrature and
+its per-cell convergence in the sidecar; selftest runs the cross-module
+identity suite.
 
 Exit codes: 0 success, 2 config error, 3 numerical guard, 4 selftest failure.
 Identical config and seed give byte-identical CSV output; timestamps live
@@ -158,9 +160,7 @@ def run_scan(cfg: RunConfig) -> int:
     partition = build_partition(cfg)
     system = build_system(cfg)
     grid = analysis.scan_tr(
-        bath, system, partition, cfg.run.t_range, cfg.run.r_range,
-        tau=cfg.run.tau, n_samples=cfg.run.n_samples, threads=cfg.run.threads,
-        units=units,
+        bath, system, partition, cfg.run.t_range, cfg.run.r_range, units=units,
         bath_fingerprint={"seed": cfg.bath.seed, "omega_bar": cfg.bath.omega_bar,
                           "delta": cfg.bath.delta, "n": cfg.bath.n})
     out = Path(cfg.output.path)
@@ -169,7 +169,8 @@ def run_scan(cfg: RunConfig) -> int:
     else:
         out.write_text(grid.to_csv_text())
     write_sidecar(_sidecar_path(out), {"config": cfg.to_dict(), "seed": cfg.bath.seed,
-                                       "bath_fingerprint": grid.bath_fingerprint})
+                                       "bath_fingerprint": grid.bath_fingerprint,
+                                       **grid.quadrature})
     return 0
 
 
@@ -224,6 +225,16 @@ def run_selftest() -> int:
     rel = abs(num.value - math.exp(ana.log_avg_gamma)) / math.exp(ana.log_avg_gamma)
     checks.append(("ergodic time average matches analytic I0 form", rel < 0.01))
 
+    # Omega = 0, r = 0: the phase-torus average is the analytic I0 form
+    ok = True
+    for which in ("decoherence", "distinguishability"):
+        weights = pqml.thermal_weight(np.asarray(bath.omegas), env, SI_UNITS, which)
+        torus = fullmodel.torus_average(bath, system0, range(bath.n), weights[None, :], 0.0)
+        ana = pqml.avg_analytic(bath, system0, env, which=which)
+        log_ref = ana.log_avg_gamma if which == "decoherence" else ana.log_avg_b
+        ok &= abs(math.exp(torus.log_value[0] - log_ref) - 1.0) <= 1e-10
+    checks.append(("Omega=0 torus average matches analytic I0 form", ok))
+
     # th*cth identity
     ok = True
     for t in rng.uniform(1e-10, 1e-8, size=10):
@@ -256,9 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility; has no effect")
+        p.add_argument("--tau", type=float, default=None,
+                       help="horizon of the numeric average in the full sidecar")
+        p.add_argument("--n-samples", dest="n_samples", type=int, default=None,
+                       help="samples of the numeric average in the full sidecar")
         p.add_argument("--t-max", dest="t_max", type=float, default=None)
         p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
     sub.add_parser("selftest")

@@ -11,7 +11,10 @@ gamma0 = 0.33e18 1/s^2, coupling prefactor 2.
 
 from __future__ import annotations
 
+import functools
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -26,6 +29,26 @@ class ConfigError(ValueError):
     pass
 
 
+def _matches(value, annotation) -> bool:
+    """Whether a JSON value fits a field annotation. bool is not a number;
+    an int is accepted where a float is expected."""
+    args = typing.get_args(annotation)
+    if isinstance(annotation, types.UnionType):
+        return any(_matches(value, arg) for arg in args)
+    if typing.get_origin(annotation) is list:
+        return isinstance(value, list) and all(_matches(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return annotation is bool
+    if annotation is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, annotation)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def _from_dict(cls, data: dict, section: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{section}' must be an object")
@@ -33,6 +56,11 @@ def _from_dict(cls, data: dict, section: str):
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown config key '{sorted(unknown)[0]}' in section '{section}'")
+    hints = _field_types(cls)
+    for key, value in data.items():
+        if not _matches(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ConfigError(f"'{section}.{key}' must be {expected}, got {value!r}")
     try:
         return cls(**data)
     except TypeError as exc:
@@ -81,7 +109,7 @@ class RunParams:
     t_range: dict | None = None
     r_range: dict | None = None
     epsilon: float = 0.01
-    threads: int = 1
+    threads: int = 1  # accepted and validated for old configs; no computation uses it
 
 
 @dataclass

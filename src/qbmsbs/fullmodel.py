@@ -63,6 +63,29 @@ class TimeAverage:
     n_samples: int
 
 
+TORUS_NODES_START = (64, 32)
+TORUS_NODES_CAP = (1024, 512)
+TORUS_TOLERANCE = 1e-3
+_TORUS_BLOCK = 1 << 21  # exp() evaluations held in memory at once
+
+
+@dataclass(frozen=True)
+class TorusAverage:
+    """Infinite-time averages in log space, one per row of thermal weights.
+
+    nodes is the (K_theta, K_phi) rule used: K_theta = 1 at Omega = 0, and
+    (0, 0) for an empty index set;
+    convergence[i] = |log avg_K - log avg_{K/2}| of row i, where the K/2
+    rule is every other node of the K rule; capped is True when the rule
+    reached TORUS_NODES_CAP.
+    """
+
+    log_value: tuple[float, ...]
+    convergence: tuple[float, ...]
+    nodes: tuple[int, int]
+    capped: bool
+
+
 def _check_resonance(omega, omega_big: float) -> None:
     if omega_big == 0.0:
         return
@@ -205,3 +228,103 @@ def time_average_numeric(factor: str, bath: BathSpec, system: SystemSpec,
     half_estimate = total_half / half
     return TimeAverage(value=value, convergence=abs(value - half_estimate),
                        tau=tau, n_samples=n_samples)
+
+
+def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
+    """log sum_j exp(x[i, j]) per row. Rows share the largest entry as their
+    shift, so rows that are ordered entrywise stay ordered exactly; only a row
+    whose entries all lie 600 below it, and would underflow, uses its own."""
+    row_max, top = x.max(axis=1), x.max()
+    shift = np.where(row_max < top - 600.0, row_max, top)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return shift[:, 0] + np.log(np.exp(x - shift).sum(axis=1))
+
+
+def _torus_rule(a: np.ndarray, omega: np.ndarray, omega_big: float, r: float,
+                k_theta: int, k_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """log avg of exp(-sum_k a[:, k] Q_k(phi_k, theta)) by the periodic
+    trapezoid rule on k_theta x k_phi nodes, and by its every-other-node
+    subrule.
+
+    Q_k = e^{-2r} z_r^2 + e^{2r} z_i^2 with
+    z = e^{i phi}(w_k cos theta - i Omega sin theta) - w_k. The product over k
+    of the phi means is even and pi-periodic in theta, so the rule on
+    2 pi j / k_theta needs only the nodes in [0, pi/2], the two ends with
+    half weight. At Omega = 0 the system phase theta = Omega t stays 0.
+    """
+    if omega_big == 0.0:
+        theta, mult = np.zeros(1), np.ones(1)
+    else:
+        theta = 2.0 * math.pi * np.arange(k_theta // 4 + 1) / k_theta
+        mult = np.full(theta.size, 4.0)
+        mult[[0, -1]] = 2.0
+    phi = 2.0 * math.pi * np.arange(k_phi) / k_phi
+    ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    cp, sp = np.cos(phi), np.sin(phi)
+    w = omega[:, None, None]
+    zr = w * (cp * ct - 1.0) + omega_big * (sp * st)
+    zi = w * (sp * ct) - omega_big * (cp * st)
+    q = math.exp(-2.0 * r) * zr * zr + math.exp(2.0 * r) * zi * zi   # (k, theta, phi)
+    q_min = q.min(axis=2)
+    q -= q_min[:, :, None]
+
+    rows = a.shape[0]
+    log_full = np.empty((rows, theta.size))
+    log_half = np.empty((rows, theta.size))
+    step = max(1, _TORUS_BLOCK // q.size)
+    for lo in range(0, rows, step):
+        ab = a[lo:lo + step, :, None]
+        # shifted by the smallest exponent over phi, so each full mean is >= 1/k_phi
+        e = np.exp(q[None] * -ab[..., None])
+        base = -ab * q_min[None]
+        log_full[lo:lo + step] = (base + np.log(e.sum(axis=3) / k_phi)).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_half[lo:lo + step] = (
+                base + np.log(e[..., ::2].sum(axis=3) / (k_phi // 2))).sum(axis=1)
+    full = _log_sum_exp_rows(log_full + np.log(mult / mult.sum()))
+    half = _log_sum_exp_rows(log_half[:, ::2] + np.log(mult[::2] / mult[::2].sum()))
+    return full, half
+
+
+def torus_average(bath: BathSpec, system: SystemSpec, idx: Sequence[int],
+                  weights, r: float, units: UnitContext = SI_UNITS) -> TorusAverage:
+    """Infinite-time average of exp(-(dx^2/2) sum_k weight_k A_k(t)) over the
+    oscillators idx, for each row of weights (shape rows x len(idx), cth for
+    gamma or th for b), at squeezing r.
+
+    A_k depends on t only through the phases w_k t and Omega t. For
+    rationally independent frequencies the time average is the average over
+    independent uniform phases (Kronecker-Weyl), computed by the periodic
+    trapezoid rule, which converges exponentially for these analytic
+    integrands. K starts at TORUS_NODES_START and doubles until every row has
+    |log avg_K - log avg_{K/2}| <= TORUS_TOLERANCE, or K reaches
+    TORUS_NODES_CAP. All rows share one rule, so an entrywise ordering of
+    the weight rows carries over exactly to the averages.
+
+    Frequencies must be off resonance (see _check_resonance) and pairwise
+    distinct; equal frequencies share a phase, which the product form
+    ignores.
+    """
+    w, m, c = bath.arrays(idx)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != w.size:
+        raise ValueError("weights must have shape (rows, len(idx))")
+    if w.size == 0:
+        zeros = (0.0,) * weights.shape[0]
+        return TorusAverage(log_value=zeros, convergence=zeros, nodes=(0, 0),
+                            capped=False)
+    omega_big = system.omega_big
+    # A_k = s_k Q_k, with s_k the prefactor of Re alpha^2
+    s = c * c / (2.0 * m * w * (w ** 2 - omega_big ** 2) ** 2 * units.hbar)
+    a = 0.5 * system.dx ** 2 * weights * s
+    k_theta, k_phi = TORUS_NODES_START
+    while True:
+        full, half = _torus_rule(a, w, omega_big, r, k_theta, k_phi)
+        convergence = np.abs(full - half)
+        if np.all(convergence <= TORUS_TOLERANCE) or k_theta >= TORUS_NODES_CAP[0]:
+            break
+        k_theta, k_phi = 2 * k_theta, 2 * k_phi
+    return TorusAverage(log_value=tuple(full.tolist()),
+                        convergence=tuple(convergence.tolist()),
+                        nodes=(k_theta if omega_big else 1, k_phi),
+                        capped=k_theta >= TORUS_NODES_CAP[0])

@@ -193,7 +193,7 @@ def test_a8_scan_qualitative():
     part = make_partition(20, 10, [10])
     grid = scan_tr(bath, system, part,
                    {"min": 1e-4, "max": 1.0, "points": 5, "log": True},
-                   {"values": [0.0, 0.01, 0.1, 0.3, 1.0, 3.0]}, threads=2)
+                   {"values": [0.0, 0.01, 0.1, 0.3, 1.0, 3.0]})
     g = np.array(grid.avg_gamma)
     b = np.array(grid.avg_b)
     ordered = bool(np.all(g <= b))

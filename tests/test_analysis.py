@@ -7,6 +7,8 @@ from qbmsbs.analysis import (evaluate_factors, formation_time,
                              macrofraction_scaling, resolve_axis, sbs_verdict,
                              scan_tr)
 from qbmsbs.bath import BathSpec, EnvInitState, SystemSpec, make_partition
+from qbmsbs.fullmodel import (ResonanceError, _log_sum_exp_rows,
+                              default_sample_count, time_average_numeric)
 from qbmsbs.pqml import avg_analytic
 from qbmsbs.qml import QmlParams, b_qml, gamma_qml, timescales
 from qbmsbs.units import DIMENSIONLESS_UNITS
@@ -137,6 +139,13 @@ class TestResolveAxis:
             resolve_axis({"min": 0.0, "max": 1.0, "points": 3, "log": True})
         with pytest.raises(ValueError):
             resolve_axis({"min": 2.0, "max": 1.0, "points": 3})
+        for spec in ({"values": [1.0, math.nan]}, {"values": [True]},
+                     {"values": ["1.0"]}, {"values": 1.0},
+                     {"min": 0.0, "max": math.inf, "points": 3},
+                     {"min": "a", "max": 1.0, "points": 3},
+                     {"min": 0.0, "max": 1.0, "points": None}):
+            with pytest.raises(ValueError):
+                resolve_axis(spec)
 
 
 @pytest.fixture
@@ -147,57 +156,149 @@ def scan_setup():
     part = make_partition(4, 2, [2])
     t_range = {"values": [0.05, 0.2, 1.0, 5.0]}
     r_range = {"values": [0.0, 0.5, 1.5]}
-    tau = 200 * 2 * math.pi / 1.7
-    return bath, system, part, t_range, r_range, tau
+    return bath, system, part, t_range, r_range
 
 
 class TestScan:
     def test_values_in_unit_interval(self, scan_setup):
-        bath, system, part, t_range, r_range, tau = scan_setup
-        grid = scan_tr(bath, system, part, t_range, r_range, tau=tau,
-                       n_samples=20_000, units=UNITLESS)
+        bath, system, part, t_range, r_range = scan_setup
+        grid = scan_tr(bath, system, part, t_range, r_range, units=UNITLESS)
         for row in grid.avg_gamma + grid.avg_b:
             assert all(0.0 < v <= 1.0 for v in row)
 
     def test_b_nondecreasing_in_temperature(self, scan_setup):
-        bath, system, part, t_range, _, tau = scan_setup
-        grid = scan_tr(bath, system, part, t_range, {"values": [0.0]}, tau=tau,
-                       n_samples=20_000, units=UNITLESS)
+        bath, system, part, t_range, _ = scan_setup
+        grid = scan_tr(bath, system, part, t_range, {"values": [0.0]},
+                       units=UNITLESS)
         col = [row[0] for row in grid.avg_b]
         assert all(b2 >= b1 for b1, b2 in zip(col, col[1:]))
 
+    def test_monotone_in_temperature_at_rounding_level(self, scan_setup):
+        # temperatures a few ulps apart move the weights by rounding only;
+        # the shared quadrature keeps both orderings exact even there
+        bath, system, part, _, r_range = scan_setup
+        temps = [0.2 * (1.0 + k * 1e-15) for k in range(20)]
+        grid = scan_tr(bath, system, part, {"values": temps}, r_range, units=UNITLESS)
+        assert np.all(np.diff(np.array(grid.avg_gamma), axis=0) <= 0.0)
+        assert np.all(np.diff(np.array(grid.avg_b), axis=0) >= 0.0)
+
     def test_larger_unobserved_set_decoheres_more(self, scan_setup):
-        bath, system, _, t_range, _, tau = scan_setup
+        bath, system, _, t_range, _ = scan_setup
         small = scan_tr(bath, system, make_partition(4, 2, []), t_range,
-                        {"values": [0.0]}, tau=tau, n_samples=20_000,
-                        units=UNITLESS)
+                        {"values": [0.0]}, units=UNITLESS)
         big = scan_tr(bath, system, make_partition(4, 4, []), t_range,
-                      {"values": [0.0]}, tau=tau, n_samples=20_000, units=UNITLESS)
+                      {"values": [0.0]}, units=UNITLESS)
         for i in range(len(small.t_values)):
             assert big.avg_gamma[i][0] <= small.avg_gamma[i][0]
 
-    def test_thread_count_does_not_change_result(self, scan_setup):
-        bath, system, part, t_range, r_range, tau = scan_setup
-        one = scan_tr(bath, system, part, t_range, r_range, tau=tau,
-                      n_samples=20_000, threads=1, units=UNITLESS)
-        four = scan_tr(bath, system, part, t_range, r_range, tau=tau,
-                       n_samples=20_000, threads=4, units=UNITLESS)
-        assert one.avg_gamma == four.avg_gamma
-        assert one.avg_b == four.avg_b
-
     def test_csv_shape(self, scan_setup):
-        bath, system, part, t_range, r_range, tau = scan_setup
-        grid = scan_tr(bath, system, part, t_range, r_range, tau=tau,
-                       n_samples=20_000, units=UNITLESS)
+        bath, system, part, t_range, r_range = scan_setup
+        grid = scan_tr(bath, system, part, t_range, r_range, units=UNITLESS)
         lines = grid.to_csv_text().strip().split("\n")
         assert lines[0] == "T,r,avg_gamma,avg_b"
         assert len(lines) == 1 + 4 * 3
 
     def test_nonpositive_temperature_rejected(self, scan_setup):
-        bath, system, part, _, r_range, tau = scan_setup
+        bath, system, part, _, r_range = scan_setup
         with pytest.raises(ValueError):
-            scan_tr(bath, system, part, {"values": [0.0, 1.0]}, r_range, tau=tau,
-                    n_samples=20_000, units=UNITLESS)
+            scan_tr(bath, system, part, {"values": [0.0, 1.0]}, r_range,
+                    units=UNITLESS)
+
+    @pytest.mark.parametrize("axis", ["t_range", "r_range"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_axis_rejected(self, scan_setup, axis, bad):
+        bath, system, part, t_range, r_range = scan_setup
+        ranges = {"t_range": t_range, "r_range": r_range}
+        ranges[axis] = {"values": [bad, 1.0]}
+        with pytest.raises(ValueError, match="finite"):
+            scan_tr(bath, system, part, units=UNITLESS, **ranges)
+
+    def test_resonant_frequency_rejected(self, scan_setup):
+        _, system, part, t_range, r_range = scan_setup
+        near = system.omega_big * (1.0 + 5e-7)
+        bath = BathSpec(omegas=(1.7, 2.3, near, 3.4), masses=(1.0,) * 4,
+                        couplings=(0.8, 0.6, 0.7, 0.5))
+        with pytest.raises(ResonanceError):
+            scan_tr(bath, system, part, t_range, r_range, units=UNITLESS)
+
+    def test_duplicate_frequencies_warn(self, scan_setup):
+        _, system, part, t_range, _ = scan_setup
+        bath = BathSpec(omegas=(1.7, 1.7, 2.9, 3.4), masses=(1.0,) * 4,
+                        couplings=(0.8, 0.6, 0.7, 0.5))
+        with pytest.warns(UserWarning, match="duplicate"):
+            scan_tr(bath, system, part, t_range, {"values": [0.0]}, units=UNITLESS)
+
+    def test_quadrature_report(self, scan_setup):
+        bath, system, part, t_range, r_range = scan_setup
+        grid = scan_tr(bath, system, part, t_range, r_range, units=UNITLESS)
+        q = grid.quadrature
+        assert q["average"] == "infinite-time torus quadrature"
+        for factor in ("gamma", "b"):
+            assert len(q["quadrature_nodes"][factor]) == 3
+            assert q["quadrature_capped"][factor] == [False] * 3
+            conv = np.array(q["convergence"][factor])
+            assert conv.shape == (4, 3)
+            assert np.all(conv <= q["quadrature_tolerance"])
+        assert grid.to_json_dict()["convergence"] == q["convergence"]
+
+    def test_empty_set_is_exactly_one(self, scan_setup):
+        bath, system, _, t_range, r_range = scan_setup
+        grid = scan_tr(bath, system, make_partition(4, 2, []), t_range, r_range,
+                       units=UNITLESS)
+        assert all(v == 1.0 for row in grid.avg_b for v in row)
+        assert grid.quadrature["quadrature_nodes"]["b"] == [[0, 0]] * 3
+
+
+class TestTorusAverage:
+    def test_pqml_limit_matches_analytic(self):
+        # Omega = 0 and r = 0: each phase mean is exp(-a) I0(a) exactly
+        bath = BathSpec(omegas=(1.7, 2.3, 2.9), masses=(1.0, 1.3, 0.8),
+                        couplings=(0.8, 0.6, 0.7))
+        system = SystemSpec(1.0, 0.0, 0.0, 2.0)
+        temps = (0.05, 0.5, 5.0)
+        grid = scan_tr(bath, system, make_partition(3, 3, []),
+                       {"values": list(temps)}, {"values": [0.0]}, units=UNITLESS)
+        for i, temp in enumerate(temps):
+            ref = avg_analytic(bath, system, EnvInitState(temperature=temp),
+                               which="decoherence", units=UNITLESS).avg_gamma
+            assert grid.avg_gamma[i][0] == pytest.approx(ref, rel=1e-10)
+        assert grid.quadrature["quadrature_nodes"]["gamma"][0][0] == 1
+
+    def test_matches_long_time_average(self):
+        # frequencies rationally independent of each other and of Omega,
+        # as the phase-torus average assumes
+        bath = BathSpec(omegas=(1.7 * math.sqrt(2.0), 2.3 * math.sqrt(3.0)),
+                        masses=(1.0, 1.0), couplings=(0.8, 0.6))
+        system = SystemSpec(1.0, 0.5, 0.0, 2.0)
+        env = EnvInitState(temperature=5.0, squeezing_r=1.5)
+        part = make_partition(2, 2, [])
+        grid = scan_tr(bath, system, part, {"values": [env.temperature]},
+                       {"values": [env.squeezing_r]}, units=UNITLESS)
+        tau = 4000 * 2 * math.pi / 0.5
+        num = time_average_numeric("gamma", bath, system, env, part.unobserved,
+                                   tau, default_sample_count(bath, system, tau),
+                                   UNITLESS)
+        assert abs(grid.avg_gamma[0][0] - num.value) <= num.convergence
+
+    def test_log_sum_exp_keeps_row_order(self):
+        # the scan's exact monotonicity in T rests on this: lowering a row's
+        # largest entry by one ulp never raises its log-sum-exp
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            upper = rng.normal(-1.0, 0.5, 9)
+            lower = upper.copy()
+            top = np.argmax(upper)
+            lower[top] = np.nextafter(upper[top], -np.inf)
+            hi, lo = _log_sum_exp_rows(np.stack([upper, lower]))
+            assert lo <= hi
+        far = _log_sum_exp_rows(np.array([[0.0, -1.0], [-1400.0, -1401.0]]))
+        assert far[1] == pytest.approx(far[0] - 1400.0, rel=1e-14)
+
+    def test_bit_identical_reruns(self, scan_setup):
+        bath, system, part, t_range, r_range = scan_setup
+        one = scan_tr(bath, system, part, t_range, r_range, units=UNITLESS)
+        two = scan_tr(bath, system, part, t_range, r_range, units=UNITLESS)
+        assert one == two
 
 
 class TestMacrofractionScaling:

@@ -123,6 +123,18 @@ class TestScanCommand:
         main(["scan", "--config", cfg, "--out", str(out2), "--threads", "3"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sidecar_reports_quadrature(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        cfg = write_config(tmp_path, SCAN_DOC)
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+        side = json.loads((tmp_path / "scan.csv.json").read_text())
+        assert side["average"] == "infinite-time torus quadrature"
+        for factor in ("gamma", "b"):
+            assert len(side["quadrature_nodes"][factor]) == 2
+            assert len(side["quadrature_capped"][factor]) == 2
+            assert len(side["convergence"][factor]) == 2
+            assert all(len(row) == 2 for row in side["convergence"][factor])
+
     def test_json_format(self, tmp_path):
         doc = dict(SCAN_DOC)
         doc["output"] = {"path": "unused", "format": "json"}
@@ -165,6 +177,30 @@ class TestExitCodes:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "full.csv"
         assert main(["full", "--config", cfg, "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("section, fields", [
+        ("bath", {"n": "3"}),
+        ("bath", {"n": True}),
+        ("bath", {"seed": 1.5}),
+        ("system", {"x2": "1e-9"}),
+        ("run", {"threads": "2"}),
+    ])
+    def test_mistyped_field(self, tmp_path, capsys, section, fields):
+        doc = json.loads(json.dumps(SCAN_DOC))
+        doc[section].update(fields)
+        cfg = write_config(tmp_path, doc)
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("axis", ["t_range", "r_range"])
+    def test_nonfinite_scan_axis(self, tmp_path, axis):
+        doc = json.loads(json.dumps(SCAN_DOC))
+        doc["run"][axis] = {"values": [float("nan"), 1.0]}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
