@@ -247,17 +247,11 @@ def scan_tr(bath: BathSpec, system: SystemSpec, partition: Partition,
 
     idx_g = partition.unobserved
     idx_b = partition.macrofractions[0] if partition.macrofractions else ()
-    fullmodel._check_resonance(bath.arrays(sorted(set(idx_g) | set(idx_b)))[0],
-                               system.omega_big)
     # thermal weights per temperature, (nT, bath.n)
     args = units.hbar * np.outer(1.0 / temps, bath.omegas) / (2.0 * units.k_boltzmann)
     th = np.tanh(args)
     columns = {}
     for factor, idx, weights in (("gamma", idx_g, 1.0 / th), ("b", idx_b, th)):
-        if len(set(bath.arrays(idx)[0].tolist())) != len(idx):
-            warnings.warn(f"duplicate bath frequencies in the {factor} set: the "
-                          "independent-phase average does not hold for them",
-                          stacklevel=2)
         columns[factor] = [
             fullmodel.torus_average(bath, system, idx, weights[:, list(idx)],
                                     float(r), units) for r in rs]

@@ -34,8 +34,8 @@ class BathSpec:
         for name, values in (("omegas", self.omegas),
                              ("masses", self.masses),
                              ("couplings", self.couplings)):
-            if any(v <= 0 for v in values):
-                raise ValueError(f"all {name} must be strictly positive")
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(f"all {name} must be finite and strictly positive")
 
     @property
     def n(self) -> int:
@@ -66,6 +66,8 @@ class SystemSpec:
     x2: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mass_M, self.omega_big, self.x1, self.x2))):
+            raise ValueError("mass_M, omega_big, x1 and x2 must be finite")
         if self.mass_M <= 0:
             raise ValueError("mass_M must be strictly positive")
         if self.omega_big < 0:
@@ -87,8 +89,10 @@ class EnvInitState:
     squeezing_r: float = 0.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be strictly positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and strictly positive")
+        if not math.isfinite(self.squeezing_r):
+            raise ValueError("squeezing_r must be finite")
 
     @classmethod
     def from_beta(cls, beta: float, k_boltzmann: float, squeezing_r: float = 0.0):
@@ -138,6 +142,8 @@ def sample_frequencies(n: int, omega_bar: float, delta: float, seed: int) -> tup
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not (math.isfinite(omega_bar) and math.isfinite(delta)):
+        raise ValueError("omega_bar and delta must be finite")
     if delta < 0:
         raise ValueError("delta must be non-negative")
     low = omega_bar - delta / 2.0

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: qml | pqml | full emit a time series CSV (t, gamma, b) with a
-JSON sidecar holding analytic quantities; scan emits a long-format grid CSV
-(T, r, avg_gamma, avg_b) of infinite-time averages, with the quadrature and
-its per-cell convergence in the sidecar; selftest runs the cross-module
-identity suite.
+JSON sidecar holding analytic quantities; for full these are the
+infinite-time averages at the run's temperature and squeezing. scan emits a
+long-format grid CSV (T, r, avg_gamma, avg_b) of infinite-time averages.
+full and scan both record the torus quadrature and its convergence in the
+sidecar. selftest runs the cross-module identity suite. --tau, --n-samples
+and --threads are accepted and validated but have no effect.
 
 Exit codes: 0 success, 2 config error, 3 numerical guard, 4 selftest failure.
 Identical config and seed give byte-identical CSV output; timestamps live
@@ -18,6 +20,7 @@ import datetime
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,28 +131,33 @@ def _run_series(cfg: RunConfig, regime: str) -> int:
     write_series_csv(out, series)
 
     sidecar = {"config": cfg.to_dict(), "seed": cfg.bath.seed}
-    if regime == "pqml":
-        for name, idx, which in (
-                ("gamma", partition.unobserved, "decoherence"),
-                ("b", partition.macrofractions[0] if partition.macrofractions else (),
-                 "distinguishability")):
-            if idx:
-                avg = pqml.avg_analytic(bath, system, env, idx, which, units)
-                log_avg = avg.log_avg_gamma if which == "decoherence" else avg.log_avg_b
-                sidecar[f"log_avg_{name}"] = log_avg
-                sidecar[f"i0_arguments_{name}"] = [a for a, _ in avg.per_oscillator_terms]
-    elif cfg.run.tau is not None:
-        n_samples = cfg.run.n_samples or fullmodel.default_sample_count(
-            bath, system, cfg.run.tau)
-        for name, idx, factor in (
-                ("gamma", partition.unobserved, "gamma"),
-                ("b", partition.macrofractions[0] if partition.macrofractions else (),
-                 "b")):
-            if idx:
-                avg = fullmodel.time_average_numeric(factor, bath, system, env, idx,
-                                                     cfg.run.tau, n_samples, units)
-                sidecar[f"avg_{name}"] = avg.value
-                sidecar[f"avg_{name}_convergence"] = avg.convergence
+    if regime == "full":
+        # infinite-time averages, reported like the scan's
+        sidecar.update(average="infinite-time torus quadrature",
+                       quadrature_tolerance=fullmodel.TORUS_TOLERANCE,
+                       quadrature_nodes={}, quadrature_capped={}, convergence={})
+    for name, idx, which in (
+            ("gamma", partition.unobserved, "decoherence"),
+            ("b", partition.macrofractions[0] if partition.macrofractions else (),
+             "distinguishability")):
+        if not idx:
+            continue
+        if regime == "pqml":
+            avg = pqml.avg_analytic(bath, system, env, idx, which, units)
+            log_avg = avg.log_avg_gamma if which == "decoherence" else avg.log_avg_b
+            sidecar[f"log_avg_{name}"] = log_avg
+            sidecar[f"i0_arguments_{name}"] = [a for a, _ in avg.per_oscillator_terms]
+            continue
+        weights = pqml.thermal_weight(bath.arrays(idx)[0], env, units, which)
+        avg = fullmodel.torus_average(bath, system, idx, weights[None, :],
+                                      env.squeezing_r, units)
+        sidecar[f"avg_{name}"] = math.exp(avg.log_value[0])
+        sidecar["quadrature_nodes"][name] = list(avg.nodes)
+        sidecar["quadrature_capped"][name] = avg.capped
+        sidecar["convergence"][name] = avg.convergence[0]
+        if avg.convergence[0] > fullmodel.TORUS_TOLERANCE:
+            warnings.warn(f"{name} average not converged with {avg.nodes} nodes",
+                          stacklevel=2)
     write_sidecar(_sidecar_path(out), sidecar)
     return 0
 
@@ -235,6 +243,19 @@ def run_selftest() -> int:
         ok &= abs(math.exp(torus.log_value[0] - log_ref) - 1.0) <= 1e-10
     checks.append(("Omega=0 torus average matches analytic I0 form", ok))
 
+    # Omega > 0, r > 0: the phase-torus average is the long-time average
+    pair = sample_bath(n=2, omega_bar=4.5e9, delta=3e9, seed=11, mass_M=1e-5,
+                       gamma0=0.33e18, prefactor=2)
+    squeezed = EnvInitState(temperature=0.05, squeezing_r=1.0)
+    tau = fullmodel.default_averaging_time(pair, periods=2000)
+    n = fullmodel.default_sample_count(pair, system, tau)
+    num = fullmodel.time_average_numeric("gamma", pair, system, squeezed, None, tau, n)
+    weights = pqml.thermal_weight(np.asarray(pair.omegas), squeezed, SI_UNITS,
+                                  "decoherence")
+    torus = fullmodel.torus_average(pair, system, range(pair.n), weights[None, :], 1.0)
+    rel = abs(num.value / math.exp(torus.log_value[0]) - 1.0)
+    checks.append(("squeezed torus average matches long-time average", rel < 0.01))
+
     # th*cth identity
     ok = True
     for t in rng.uniform(1e-10, 1e-8, size=10):
@@ -270,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility; has no effect")
         p.add_argument("--tau", type=float, default=None,
-                       help="horizon of the numeric average in the full sidecar")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--n-samples", dest="n_samples", type=int, default=None,
-                       help="samples of the numeric average in the full sidecar")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--t-max", dest="t_max", type=float, default=None)
         p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
     sub.add_parser("selftest")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -104,12 +105,13 @@ class PartitionConfig:
 class RunParams:
     t_max: float | None = None
     t_steps: int | None = None
-    tau: float | None = None
-    n_samples: int | None = None
     t_range: dict | None = None
     r_range: dict | None = None
     epsilon: float = 0.01
-    threads: int = 1  # accepted and validated for old configs; no computation uses it
+    # accepted and validated for old configs; no computation uses them
+    tau: float | None = None
+    n_samples: int | None = None
+    threads: int = 1
 
 
 @dataclass
@@ -182,6 +184,8 @@ class RunConfig:
         if self.regime in ("qml", "pqml", "full"):
             if self.run.t_max is None or self.run.t_steps is None:
                 raise ConfigError(f"regime '{self.regime}' requires run.t_max and run.t_steps")
+            if not math.isfinite(self.run.t_max):
+                raise ConfigError("run.t_max must be finite")
         if self.regime == "scan":
             if self.run.t_range is None or self.run.r_range is None:
                 raise ConfigError("regime 'scan' requires run.t_range and run.r_range")
@@ -189,6 +193,11 @@ class RunConfig:
             raise ConfigError("output.format must be 'csv' or 'json'")
         if self.run.threads < 1:
             raise ConfigError("run.threads must be at least 1")
+        if self.run.tau is not None and not (math.isfinite(self.run.tau)
+                                             and self.run.tau > 0):
+            raise ConfigError("run.tau must be finite and positive")
+        if self.run.n_samples is not None and self.run.n_samples < 1000:
+            raise ConfigError("run.n_samples must be at least 1000")
 
 
 def build_units(cfg: RunConfig) -> UnitContext:

@@ -8,6 +8,7 @@ A dimensionless study can override both constants with 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -20,8 +21,8 @@ class UnitContext:
     k_boltzmann: float = KB_SI
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.k_boltzmann <= 0:
-            raise ValueError("hbar and k_boltzmann must be strictly positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.hbar, self.k_boltzmann)):
+            raise ValueError("hbar and k_boltzmann must be finite and strictly positive")
 
     def thermal_argument(self, omega: float, temperature: float) -> float:
         """Dimensionless argument hbar*omega/(2 k_B T) of th/cth factors."""

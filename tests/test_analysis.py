@@ -8,7 +8,8 @@ from qbmsbs.analysis import (evaluate_factors, formation_time,
                              scan_tr)
 from qbmsbs.bath import BathSpec, EnvInitState, SystemSpec, make_partition
 from qbmsbs.fullmodel import (ResonanceError, _log_sum_exp_rows,
-                              default_sample_count, time_average_numeric)
+                              default_sample_count, time_average_numeric,
+                              torus_average)
 from qbmsbs.pqml import avg_analytic
 from qbmsbs.qml import QmlParams, b_qml, gamma_qml, timescales
 from qbmsbs.units import DIMENSIONLESS_UNITS
@@ -293,6 +294,20 @@ class TestTorusAverage:
             assert lo <= hi
         far = _log_sum_exp_rows(np.array([[0.0, -1.0], [-1400.0, -1401.0]]))
         assert far[1] == pytest.approx(far[0] - 1400.0, rel=1e-14)
+
+    def test_engine_guards_resonance(self):
+        system = SystemSpec(1.0, 0.5, 0.0, 2.0)
+        bath = BathSpec(omegas=(1.7, 0.5 * (1.0 - 5e-7)), masses=(1.0,) * 2,
+                        couplings=(0.8, 0.6))
+        with pytest.raises(ResonanceError):
+            torus_average(bath, system, [0, 1], np.ones((1, 2)), 0.0, UNITLESS)
+        torus_average(bath, system, [0], np.ones((1, 1)), 0.0, UNITLESS)
+
+    def test_engine_warns_on_duplicate_frequencies(self):
+        system = SystemSpec(1.0, 0.5, 0.0, 2.0)
+        bath = BathSpec(omegas=(1.7, 1.7), masses=(1.0,) * 2, couplings=(0.8, 0.6))
+        with pytest.warns(UserWarning, match="duplicate"):
+            torus_average(bath, system, [0, 1], np.ones((1, 2)), 0.0, UNITLESS)
 
     def test_bit_identical_reruns(self, scan_setup):
         bath, system, part, t_range, r_range = scan_setup

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qbmsbs.bath import (BathSpec, Partition, SystemSpec, couplings_from_masses,
-                         make_partition, sample_bath, sample_frequencies,
-                         validate_offresonance)
+from qbmsbs.bath import (BathSpec, EnvInitState, Partition, SystemSpec,
+                         couplings_from_masses, make_partition, sample_bath,
+                         sample_frequencies, validate_offresonance)
+from qbmsbs.units import UnitContext
 
 
 class TestSampleFrequencies:
@@ -30,6 +31,12 @@ class TestSampleFrequencies:
         draws = sample_frequencies(1000, 4.5e9, 3e9, seed=5)
         assert all(3e9 <= w <= 6e9 for w in draws)
 
+    @pytest.mark.parametrize("omega_bar, delta", [(math.nan, 1.0), (math.inf, 1.0),
+                                                  (4.5, math.nan), (4.5, math.inf)])
+    def test_nonfinite_band_rejected(self, omega_bar, delta):
+        with pytest.raises(ValueError, match="finite"):
+            sample_frequencies(3, omega_bar, delta, seed=0)
+
     def test_nonpositive_band_edge_rejected(self):
         with pytest.raises(ValueError):
             sample_frequencies(3, 1.0, 2.5, seed=0)
@@ -53,6 +60,40 @@ class TestCouplings:
     def test_bad_prefactor(self):
         with pytest.raises(ValueError):
             couplings_from_masses([1.0], 1.0, 1.0, prefactor=3)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["omegas", "masses", "couplings"])
+    def test_bath(self, field, bad):
+        values = {"omegas": (1.0, 2.0), "masses": (1.0, 1.0), "couplings": (1.0, 1.0)}
+        values[field] = (1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            BathSpec(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mass_M", "omega_big", "x1", "x2"])
+    def test_system(self, field, bad):
+        values = {"mass_M": 1.0, "omega_big": 0.5, "x1": 0.0, "x2": 1.0}
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SystemSpec(**values)
+
+    @pytest.mark.parametrize("temperature, r", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf),
+        (0.1, -math.inf)])
+    def test_env(self, temperature, r):
+        with pytest.raises(ValueError, match="finite"):
+            EnvInitState(temperature=temperature, squeezing_r=r)
+
+    def test_env_from_nan_beta(self):
+        with pytest.raises(ValueError):
+            EnvInitState.from_beta(math.nan, 1.0)
+
+    @pytest.mark.parametrize("hbar, k_boltzmann", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_units(self, hbar, k_boltzmann):
+        with pytest.raises(ValueError, match="finite"):
+            UnitContext(hbar=hbar, k_boltzmann=k_boltzmann)
 
 
 class TestPartition:

@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from qbmsbs import fullmodel
 from qbmsbs.cli import main
+from qbmsbs.config import RunConfig, build_bath, build_env, build_partition, \
+    build_system, build_units
 from qbmsbs.qml import QmlParams, b_qml, gamma_qml
 
 
@@ -39,6 +42,24 @@ SCAN_DOC = {
             "tau": 300.0, "n_samples": 4000},
     "units": {"hbar": 1.0, "k_boltzmann": 1.0},
 }
+
+
+FULL_DOC = {
+    "bath": {"n": 3, "omega_bar": 2.0, "delta": 0.6, "seed": 1, "gamma0": 4.0,
+             "coupling_prefactor": 1},
+    "system": {"mass_M": 1.0, "omega_big": 0.4, "x1": 0.0, "x2": 2.0},
+    "env": {"temperature": 1.0, "squeezing_r": 0.5},
+    "partition": {"unobserved_size": 2, "mac_sizes": [1]},
+    "run": {"t_max": 20.0, "t_steps": 50},
+    "units": {"hbar": 1.0, "k_boltzmann": 1.0},
+}
+
+
+def read_sidecar(path):
+    side = json.loads(path.read_text())
+    side.pop("generated_at")
+    side.pop("config")
+    return side
 
 
 class TestQmlCommand:
@@ -104,6 +125,60 @@ class TestPqmlCommand:
         assert side["log_avg_gamma"] < 0.0
         assert len(side["i0_arguments_gamma"]) == 2
         assert all(a > 0 for a in side["i0_arguments_b"])
+
+
+class TestFullCommand:
+    def test_sidecar_averages_without_tau(self, tmp_path):
+        out = tmp_path / "full.csv"
+        assert main(["full", "--config", write_config(tmp_path, FULL_DOC),
+                     "--out", str(out)]) == 0
+        side = read_sidecar(tmp_path / "full.csv.json")
+        assert 0.0 < side["avg_gamma"] < side["avg_b"] < 1.0
+        assert side["average"] == "infinite-time torus quadrature"
+        assert side["quadrature_tolerance"] == fullmodel.TORUS_TOLERANCE
+        for factor in ("gamma", "b"):
+            assert len(side["quadrature_nodes"][factor]) == 2
+            assert side["quadrature_capped"][factor] is False
+            assert side["convergence"][factor] <= side["quadrature_tolerance"]
+
+    def test_tau_and_n_samples_have_no_effect(self, tmp_path):
+        cfg = write_config(tmp_path, FULL_DOC)
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        assert main(["full", "--config", cfg, "--out", str(plain)]) == 0
+        assert main(["full", "--config", cfg, "--out", str(timed),
+                     "--tau", "300", "--n-samples", "4000"]) == 0
+        assert plain.read_bytes() == timed.read_bytes()
+        assert read_sidecar(tmp_path / "plain.csv.json") == \
+            read_sidecar(tmp_path / "timed.csv.json")
+
+    def test_averages_match_long_time_average(self, tmp_path):
+        # the frequencies are uniform draws, rationally independent of each
+        # other and of Omega, as the phase-torus average assumes
+        out = tmp_path / "full.csv"
+        assert main(["full", "--config", write_config(tmp_path, FULL_DOC),
+                     "--out", str(out)]) == 0
+        side = read_sidecar(tmp_path / "full.csv.json")
+        cfg = RunConfig.from_dict(dict(FULL_DOC, regime="full"))
+        units = build_units(cfg)
+        bath, system, env = build_bath(cfg), build_system(cfg), build_env(cfg, units)
+        part = build_partition(cfg)
+        tau = 4000 * 2 * math.pi / system.omega_big
+        n = fullmodel.default_sample_count(bath, system, tau)
+        for factor, idx in (("gamma", part.unobserved), ("b", part.macrofractions[0])):
+            num = fullmodel.time_average_numeric(factor, bath, system, env, idx, tau,
+                                                 n, units)
+            # the tau vs tau/2 difference estimates the finite-horizon error
+            # to within a factor of order one
+            assert abs(side[f"avg_{factor}"] - num.value) <= 2.0 * num.convergence
+
+    def test_unconverged_average_warns(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fullmodel, "TORUS_TOLERANCE", -1.0)
+        out = tmp_path / "full.csv"
+        with pytest.warns(UserWarning, match="not converged"):
+            assert main(["full", "--config", write_config(tmp_path, FULL_DOC),
+                         "--out", str(out)]) == 0
+        side = read_sidecar(tmp_path / "full.csv.json")
+        assert side["quadrature_capped"] == {"gamma": True, "b": True}
 
 
 class TestScanCommand:
@@ -200,6 +275,33 @@ class TestExitCodes:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "scan.csv"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, fields", [
+        ("env", {"temperature": math.nan}),
+        ("env", {"temperature": math.inf}),
+        ("env", {"squeezing_r": math.nan}),
+        ("system", {"x2": math.inf}),
+        ("system", {"omega_big": math.nan}),
+        ("bath", {"omega_bar": math.nan}),
+        ("run", {"t_max": math.nan}),
+        ("units", {"hbar": math.nan}),
+    ])
+    def test_nonfinite_input(self, tmp_path, capsys, section, fields):
+        doc = json.loads(json.dumps(FULL_DOC))
+        doc[section].update(fields)
+        out = tmp_path / "full.csv"
+        assert main(["full", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--tau", "-1"], ["--tau", "nan"],
+                                       ["--tau", "inf"], ["--n-samples", "999"]])
+    def test_inert_flags_still_validated(self, tmp_path, flags):
+        out = tmp_path / "full.csv"
+        assert main(["full", "--config", write_config(tmp_path, FULL_DOC),
+                     "--out", str(out), *flags]) == 2
         assert not out.exists()
 
     def test_selftest_passes(self, capsys):

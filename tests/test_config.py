@@ -91,6 +91,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="threads"):
             RunConfig.from_dict(doc).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau", -1.0), ("tau", 0.0), ("tau", float("nan")), ("tau", float("inf")),
+        ("n_samples", 999)])
+    def test_inert_run_knobs_still_validated(self, field, value):
+        doc = minimal_scan_doc()
+        doc["run"][field] = value
+        with pytest.raises(ConfigError, match=field):
+            RunConfig.from_dict(doc).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_t_max_finite(self, value):
+        cfg = RunConfig.from_dict({"regime": "full", "env": {"temperature": 0.1},
+                                   "run": {"t_max": value, "t_steps": 5}})
+        with pytest.raises(ConfigError, match="t_max"):
+            cfg.validate()
+
 
 class TestBuilders:
     def test_units_defaults_are_si(self):
