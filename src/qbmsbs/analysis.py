@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fullmodel, pqml, qml
 from .bath import BathSpec, EnvInitState, Partition, SystemSpec
-from .specfun import bessel_i0
+from .specfun import log_i0e
 from .units import SI_UNITS, UnitContext
 
 
@@ -116,28 +116,16 @@ def evaluate_factors(regime: str, times, *, partition: Partition,
     if regime == "qml":
         if qml_params is None:
             raise ValueError("qml regime requires qml_params")
-        cs = np.asarray(qml_params.couplings)
-        half_dx2 = 0.5 * qml_params.dx ** 2
-        coth = 1.0 / math.tanh(qml_params.beta_eff / 2.0)
-        th = math.tanh(qml_params.beta_eff / 2.0)
-        s_g = float(np.sum(cs[list(idx_g)] ** 2)) if idx_g else 0.0
-        s_b = float(np.sum(cs[list(idx_b)] ** 2)) if idx_b else 0.0
-        g = np.exp(-half_dx2 * coth * s_g * tt ** 2)
-        b = np.exp(-half_dx2 * th * s_b * tt ** 2)
-        return g, b
-    if regime == "pqml":
-        g = np.exp(pqml.log_factor_series(tt, bath, system, env_state, idx_g,
-                                          "decoherence", units))
-        b = np.exp(pqml.log_factor_series(tt, bath, system, env_state, idx_b,
-                                          "distinguishability", units))
-        return g, b
-    if regime == "full":
-        g = np.exp(fullmodel.log_factor_series(tt, bath, system, env_state, idx_g,
-                                               "decoherence", units))
-        b = np.exp(fullmodel.log_factor_series(tt, bath, system, env_state, idx_b,
-                                               "distinguishability", units))
-        return g, b
-    raise ValueError(f"unknown regime '{regime}'")
+        return (np.exp(qml.log_gamma_qml(tt, qml_params, idx_g)),
+                np.exp(qml.log_b_qml(tt, qml_params, idx_b)))
+    models = {"pqml": pqml, "full": fullmodel}
+    if regime not in models:
+        raise ValueError(f"unknown regime '{regime}'")
+    model = models[regime]
+    return (np.exp(model.log_factor_series(tt, bath, system, env_state, idx_g,
+                                           "decoherence", units)),
+            np.exp(model.log_factor_series(tt, bath, system, env_state, idx_b,
+                                           "distinguishability", units)))
 
 
 def formation_time(regime: str, *, partition: Partition, epsilon: float,
@@ -210,11 +198,11 @@ def resolve_axis(spec: dict) -> np.ndarray:
             raise ValueError("axis value list must be non-empty")
         return np.array(values)
     try:
-        lo, hi, points = spec["min"], spec["max"], int(spec["points"])
+        lo, hi, points = spec["min"], spec["max"], spec["points"]
     except KeyError as exc:
         raise ValueError(f"axis spec missing key {exc}") from exc
-    except TypeError as exc:
-        raise ValueError("axis points must be an integer") from exc
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
+        raise ValueError(f"axis points must be an integer, got {points!r}")
     lo, hi = _axis_number(lo, "min"), _axis_number(hi, "max")
     if points < 1 or lo > hi:
         raise ValueError("axis spec requires points >= 1 and min <= max")
@@ -247,14 +235,13 @@ def scan_tr(bath: BathSpec, system: SystemSpec, partition: Partition,
 
     idx_g = partition.unobserved
     idx_b = partition.macrofractions[0] if partition.macrofractions else ()
-    # thermal weights per temperature, (nT, bath.n)
-    args = units.hbar * np.outer(1.0 / temps, bath.omegas) / (2.0 * units.k_boltzmann)
-    th = np.tanh(args)
     columns = {}
-    for factor, idx, weights in (("gamma", idx_g, 1.0 / th), ("b", idx_b, th)):
-        columns[factor] = [
-            fullmodel.torus_average(bath, system, idx, weights[:, list(idx)],
-                                    float(r), units) for r in rs]
+    for factor, idx, which in (("gamma", idx_g, "decoherence"),
+                               ("b", idx_b, "distinguishability")):
+        # thermal weights per temperature, (nT, len(idx))
+        weights = pqml.thermal_weight(bath.arrays(idx)[0], temps[:, None], units, which)
+        columns[factor] = [fullmodel.torus_average(bath, system, idx, weights,
+                                                   float(r), units) for r in rs]
         for r, col in zip(rs, columns[factor]):
             if max(col.convergence, default=0.0) > fullmodel.TORUS_TOLERANCE:
                 warnings.warn(f"{factor} average at r={r:g} not converged with "
@@ -320,8 +307,7 @@ def macrofraction_scaling(regime: str, sizes: Sequence[int], *,
         if sizes and sizes[-1] > bath.n:
             raise ValueError("largest size exceeds the bath")
         a = pqml.bessel_arguments(bath, system, env_state, None, which, units)
-        per_osc = np.array([-float(ak) + bessel_i0(float(ak)).log_value for ak in a])
-        prefix = np.concatenate(([0.0], np.cumsum(per_osc)))
+        prefix = np.concatenate(([0.0], np.cumsum(log_i0e(a))))
         logs = [float(prefix[s]) for s in sizes]
     else:
         raise ValueError("regime must be 'qml' or 'pqml'")

@@ -29,18 +29,14 @@ from . import analysis, fullmodel, pqml, qml
 from .bath import EnvInitState
 from .config import ConfigError, RunConfig, build_bath, build_env, build_partition, \
     build_system, build_units
-from .fullmodel import FactorSeries, ResonanceError
+from .fullmodel import ResonanceError
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def write_series_csv(path: Path, series: FactorSeries) -> None:
-    lines = ["t,gamma,b"]
-    for t, g, b in zip(series.times, series.gamma, series.b):
-        lines.append(f"{_fmt(t)},{_fmt(g)},{_fmt(b)}")
-    path.write_text("\n".join(lines) + "\n")
+def write_series_csv(path: Path, times, gamma, b) -> None:
+    """CSV of the arrays times, gamma and b, one row per time."""
+    rows = map("{:.16e},{:.16e},{:.16e}".format, times.tolist(), gamma.tolist(),
+               b.tolist())
+    path.write_text("t,gamma,b\n" + "\n".join(rows) + "\n")
 
 
 def write_sidecar(path: Path, payload: dict) -> None:
@@ -93,10 +89,8 @@ def run_qml(cfg: RunConfig) -> int:
     times = np.linspace(0.0, cfg.run.t_max, cfg.run.t_steps)
     g, b = analysis.evaluate_factors("qml", times, partition=partition,
                                      qml_params=params)
-    series = FactorSeries(times=tuple(map(float, times)), gamma=tuple(map(float, g)),
-                          b=tuple(map(float, b)), metadata={"regime": "qml"})
     out = Path(cfg.output.path)
-    write_series_csv(out, series)
+    write_series_csv(out, times, g, b)
 
     sidecar = {"config": cfg.to_dict(), "seed": cfg.bath.seed}
     for name, idx in (("unobserved", partition.unobserved),
@@ -125,10 +119,8 @@ def _run_series(cfg: RunConfig, regime: str) -> int:
     times = np.linspace(0.0, cfg.run.t_max, cfg.run.t_steps)
     g, b = analysis.evaluate_factors(regime, times, partition=partition, bath=bath,
                                      system=system, env_state=env, units=units)
-    series = FactorSeries(times=tuple(map(float, times)), gamma=tuple(map(float, g)),
-                          b=tuple(map(float, b)), metadata={"regime": regime})
     out = Path(cfg.output.path)
-    write_series_csv(out, series)
+    write_series_csv(out, times, g, b)
 
     sidecar = {"config": cfg.to_dict(), "seed": cfg.bath.seed}
     if regime == "full":
@@ -146,9 +138,9 @@ def _run_series(cfg: RunConfig, regime: str) -> int:
             avg = pqml.avg_analytic(bath, system, env, idx, which, units)
             log_avg = avg.log_avg_gamma if which == "decoherence" else avg.log_avg_b
             sidecar[f"log_avg_{name}"] = log_avg
-            sidecar[f"i0_arguments_{name}"] = [a for a, _ in avg.per_oscillator_terms]
+            sidecar[f"i0_arguments_{name}"] = list(avg.i0_arguments)
             continue
-        weights = pqml.thermal_weight(bath.arrays(idx)[0], env, units, which)
+        weights = pqml.thermal_weight(bath.arrays(idx)[0], env.temperature, units, which)
         avg = fullmodel.torus_average(bath, system, idx, weights[None, :],
                                       env.squeezing_r, units)
         sidecar[f"avg_{name}"] = math.exp(avg.log_value[0])
@@ -236,7 +228,7 @@ def run_selftest() -> int:
     # Omega = 0, r = 0: the phase-torus average is the analytic I0 form
     ok = True
     for which in ("decoherence", "distinguishability"):
-        weights = pqml.thermal_weight(np.asarray(bath.omegas), env, SI_UNITS, which)
+        weights = pqml.thermal_weight(bath.omegas, env.temperature, SI_UNITS, which)
         torus = fullmodel.torus_average(bath, system0, range(bath.n), weights[None, :], 0.0)
         ana = pqml.avg_analytic(bath, system0, env, which=which)
         log_ref = ana.log_avg_gamma if which == "decoherence" else ana.log_avg_b
@@ -250,7 +242,7 @@ def run_selftest() -> int:
     tau = fullmodel.default_averaging_time(pair, periods=2000)
     n = fullmodel.default_sample_count(pair, system, tau)
     num = fullmodel.time_average_numeric("gamma", pair, system, squeezed, None, tau, n)
-    weights = pqml.thermal_weight(np.asarray(pair.omegas), squeezed, SI_UNITS,
+    weights = pqml.thermal_weight(pair.omegas, squeezed.temperature, SI_UNITS,
                                   "decoherence")
     torus = fullmodel.torus_average(pair, system, range(pair.n), weights[None, :], 1.0)
     rel = abs(num.value / math.exp(torus.log_value[0]) - 1.0)

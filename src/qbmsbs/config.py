@@ -184,8 +184,10 @@ class RunConfig:
         if self.regime in ("qml", "pqml", "full"):
             if self.run.t_max is None or self.run.t_steps is None:
                 raise ConfigError(f"regime '{self.regime}' requires run.t_max and run.t_steps")
-            if not math.isfinite(self.run.t_max):
-                raise ConfigError("run.t_max must be finite")
+            if not (math.isfinite(self.run.t_max) and self.run.t_max > 0):
+                raise ConfigError("run.t_max must be finite and positive")
+            if self.run.t_steps < 2:
+                raise ConfigError("run.t_steps must be at least 2")
         if self.regime == "scan":
             if self.run.t_range is None or self.run.r_range is None:
                 raise ConfigError("regime 'scan' requires run.t_range and run.r_range")

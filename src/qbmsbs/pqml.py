@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bath import BathSpec, EnvInitState, SystemSpec
-from .specfun import bessel_i0
+from .specfun import log_i0e
 from .units import SI_UNITS, UnitContext
 
 LARGE_SEPARATION_MIN_RATIO = 10.0
@@ -38,13 +38,13 @@ class PqmlPropagator:
 class AvgResult:
     """Analytic infinite-time averages in log space.
 
-    per_oscillator_terms[k] = (baseline exponent, I0 argument) of the k-th
-    factor exp(-a) I0(a); the two entries coincide by construction.
+    i0_arguments[k] = a_k of the k-th factor exp(-a_k) I0(a_k), for gamma
+    when it was computed and for b otherwise.
     """
 
     log_avg_gamma: float | None
     log_avg_b: float | None
-    per_oscillator_terms: tuple[tuple[float, float], ...]
+    i0_arguments: tuple[float, ...]
 
     @property
     def avg_gamma(self) -> float:
@@ -64,10 +64,15 @@ class ScalingPrediction:
     log_predicted: float
 
 
-def thermal_weight(omega, env_state: EnvInitState, units: UnitContext, which: str):
-    """cth or th of hbar*omega/(2 k_B T); accepts scalars or arrays."""
-    arg = units.hbar * np.asarray(omega) / (2.0 * units.k_boltzmann * env_state.temperature)
-    th = np.tanh(arg)
+def _thermal_argument(omega, temperature, units: UnitContext):
+    """hbar*omega/(2 k_B T); broadcasts over omega and temperature arrays."""
+    return units.hbar * np.asarray(omega) / (2.0 * units.k_boltzmann * temperature)
+
+
+def thermal_weight(omega, temperature, units: UnitContext, which: str):
+    """cth or th of hbar*omega/(2 k_B T); broadcasts, so a temperature column
+    (nT, 1) against omega (k,) gives one row of weights per temperature."""
+    th = np.tanh(_thermal_argument(omega, temperature, units))
     if which == "decoherence":
         return 1.0 / th
     if which == "distinguishability":
@@ -96,24 +101,19 @@ def log_factor_series(times, bath: BathSpec, system: SystemSpec,
                       env_state: EnvInitState, idx: Sequence[int] | None = None,
                       which: str = "decoherence",
                       units: UnitContext = SI_UNITS) -> np.ndarray:
-    """log factor on an array of times; exponent (dx^2/2) sum w_k a_k (cos w t - 1)."""
+    """log factor on an array of times: sum_k a_k (cos w_k t - 1), with a_k the
+    I0 arguments of bessel_arguments."""
     _check_pqml_state(env_state)
-    w, m, c = bath.arrays(idx)
+    w = bath.arrays(idx)[0]
     tt = np.atleast_1d(np.asarray(times, dtype=float))
-    weight = thermal_weight(w, env_state, units, which)
-    amp = weight * c * c / (m * w ** 3 * units.hbar)          # (k,)
-    osc = np.cos(np.outer(w, tt)) - 1.0                        # (k, n)
-    return 0.5 * system.dx ** 2 * (amp @ osc)
+    a = bessel_arguments(bath, system, env_state, idx, which, units)
+    return a @ (np.cos(np.outer(w, tt)) - 1.0)
 
 
 def _log_factor_scalar(t, bath, system, env_state, idx, which, units) -> float:
-    _check_pqml_state(env_state)
     if t < 0:
         raise ValueError("t must be non-negative")
-    w, m, c = bath.arrays(idx)
-    weight = thermal_weight(w, env_state, units, which)
-    terms = weight * c * c * (np.cos(w * t) - 1.0) / (m * w ** 3 * units.hbar)
-    return 0.5 * system.dx ** 2 * math.fsum(terms.tolist())
+    return float(log_factor_series(t, bath, system, env_state, idx, which, units)[0])
 
 
 def gamma_pqml(t: float, bath: BathSpec, system: SystemSpec, env_state: EnvInitState,
@@ -136,9 +136,15 @@ def bessel_arguments(bath: BathSpec, system: SystemSpec, env_state: EnvInitState
                      idx: Sequence[int] | None = None, which: str = "decoherence",
                      units: UnitContext = SI_UNITS) -> np.ndarray:
     """Per-oscillator arguments a_k = dx^2 C_k^2 {cth|th}(.)/(2 m_k w_k^3 hbar)."""
+    w = bath.arrays(idx)[0]
+    return _bare_arguments(bath, system, idx, units) \
+        * thermal_weight(w, env_state.temperature, units, which)
+
+
+def _bare_arguments(bath: BathSpec, system: SystemSpec, idx, units: UnitContext):
+    """dx^2 C_k^2 / (2 m_k w_k^3 hbar): the I0 argument before the thermal weight."""
     w, m, c = bath.arrays(idx)
-    weight = thermal_weight(w, env_state, units, which)
-    return 0.5 * system.dx ** 2 * c * c * weight / (m * w ** 3 * units.hbar)
+    return 0.5 * system.dx ** 2 * c * c / (m * w ** 3 * units.hbar)
 
 
 def avg_analytic(bath: BathSpec, system: SystemSpec, env_state: EnvInitState,
@@ -156,24 +162,16 @@ def avg_analytic(bath: BathSpec, system: SystemSpec, env_state: EnvInitState,
         warnings.warn("duplicate bath frequencies: ergodic-average assumptions "
                       "are degraded", stacklevel=2)
 
-    def accumulate(kind: str):
-        args = bessel_arguments(bath, system, env_state, idx, kind, units)
-        logs = [-a + bessel_i0(a).log_value for a in args]
-        return math.fsum(logs), args
-
-    log_gamma = log_b = None
-    terms: tuple[tuple[float, float], ...] = ()
-    if which in ("decoherence", "both"):
-        log_gamma, args = accumulate("decoherence")
-        terms = tuple((float(a), float(a)) for a in args)
-    if which in ("distinguishability", "both"):
-        log_b, args = accumulate("distinguishability")
-        if not terms:
-            terms = tuple((float(a), float(a)) for a in args)
     if which not in ("decoherence", "distinguishability", "both"):
         raise ValueError("which must be 'decoherence', 'distinguishability' or 'both'")
-    return AvgResult(log_avg_gamma=log_gamma, log_avg_b=log_b,
-                     per_oscillator_terms=terms)
+    logs, arguments = {}, ()
+    for kind in ("decoherence", "distinguishability"):
+        if which in (kind, "both"):
+            args = bessel_arguments(bath, system, env_state, idx, kind, units)
+            logs[kind] = math.fsum(log_i0e(args).tolist())
+            arguments = arguments or tuple(args.tolist())
+    return AvgResult(log_avg_gamma=logs.get("decoherence"),
+                     log_avg_b=logs.get("distinguishability"), i0_arguments=arguments)
 
 
 def check_large_separation(system: SystemSpec, omega: float, gamma0: float,
@@ -200,11 +198,10 @@ def avg_asymptotic(bath: BathSpec, system: SystemSpec, env_state: EnvInitState,
     not deep in the cth = th = 1 regime.
     """
     _check_pqml_state(env_state)
-    w, m, c = bath.arrays(idx)
-    args = units.hbar * w / (2.0 * units.k_boltzmann * env_state.temperature)
+    args = _thermal_argument(bath.arrays(idx)[0], env_state.temperature, units)
     if np.any(args < _LOW_TEMPERATURE_MIN_ARG):
         raise ValueError("temperature too high for the low-temperature asymptotics")
-    a = 0.5 * system.dx ** 2 * c * c / (m * w ** 3 * units.hbar)
+    a = _bare_arguments(bath, system, idx, units)
     ratios = np.sqrt(2.0 * math.pi * a)
     bad = np.nonzero(ratios < min_ratio)[0]
     if bad.size:

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class QmlParams:
@@ -54,16 +56,21 @@ def _sum_c2(params: QmlParams, idx: Sequence[int] | None) -> float:
     return math.fsum(c * c for c in cs)
 
 
-def log_gamma_qml(t: float, params: QmlParams, idx: Sequence[int] | None = None) -> float:
-    if t < 0:
+def _log_factor(t, params: QmlParams, idx, weight: float):
+    """-(dx^2/2) t^2 weight sum C_k^2; t may be a scalar or an array."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be non-negative")
-    return -0.5 * params.dx ** 2 * t * t * _coth(params.beta_eff / 2.0) * _sum_c2(params, idx)
+    out = -0.5 * params.dx ** 2 * t * t * weight * _sum_c2(params, idx)
+    return float(out) if out.ndim == 0 else out
 
 
-def log_b_qml(t: float, params: QmlParams, idx: Sequence[int] | None = None) -> float:
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return -0.5 * params.dx ** 2 * t * t * math.tanh(params.beta_eff / 2.0) * _sum_c2(params, idx)
+def log_gamma_qml(t, params: QmlParams, idx: Sequence[int] | None = None):
+    return _log_factor(t, params, idx, _coth(params.beta_eff / 2.0))
+
+
+def log_b_qml(t, params: QmlParams, idx: Sequence[int] | None = None):
+    return _log_factor(t, params, idx, math.tanh(params.beta_eff / 2.0))
 
 
 def gamma_qml(t: float, params: QmlParams, idx: Sequence[int] | None = None,

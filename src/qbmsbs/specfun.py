@@ -49,6 +49,13 @@ def bessel_i0(z: float) -> I0Result:
     return I0Result(value=value, log_value=log_value)
 
 
+def log_i0e(z) -> np.ndarray:
+    """log(e^{-z} I0(z)) for each entry of a sequence of z >= 0: the log of
+    the per-oscillator factor of the infinite-time averages."""
+    return np.array([-x + bessel_i0(x).log_value
+                     for x in np.asarray(z, dtype=float).tolist()])
+
+
 def _i0_series(z: float) -> float:
     q = 0.25 * z * z
     term = 1.0

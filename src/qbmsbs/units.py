@@ -24,12 +24,6 @@ class UnitContext:
         if not all(math.isfinite(v) and v > 0 for v in (self.hbar, self.k_boltzmann)):
             raise ValueError("hbar and k_boltzmann must be finite and strictly positive")
 
-    def thermal_argument(self, omega: float, temperature: float) -> float:
-        """Dimensionless argument hbar*omega/(2 k_B T) of th/cth factors."""
-        if temperature <= 0:
-            raise ValueError("temperature must be strictly positive")
-        return self.hbar * omega / (2.0 * self.k_boltzmann * temperature)
-
 
 SI_UNITS = UnitContext()
 DIMENSIONLESS_UNITS = UnitContext(hbar=1.0, k_boltzmann=1.0)

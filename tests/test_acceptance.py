@@ -238,11 +238,11 @@ def test_a10_unit_convention_sanity():
     in_band = True
     for temp in (0.01, 1.0):
         res = avg_analytic(bath, system, EnvInitState(temperature=temp))
-        a = res.per_oscillator_terms[0][0]
+        a = res.i0_arguments[0]
         in_band &= 0.01 <= a <= 100.0
     # beta -> infinity: coth -> 1, leaving the pinned geometric factor
     cold = avg_analytic(bath, system, EnvInitState(temperature=1e-6))
-    geo = cold.per_oscillator_terms[0][0]
+    geo = cold.i0_arguments[0]
     pinned = abs(geo - 0.21862) / 0.21862 <= 1e-3
     _report("A10", in_band and pinned,
             f"I0 argument in [0.01, 100] at T=0.01 K and 1 K: {in_band}; "

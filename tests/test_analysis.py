@@ -144,7 +144,10 @@ class TestResolveAxis:
                      {"values": ["1.0"]}, {"values": 1.0},
                      {"min": 0.0, "max": math.inf, "points": 3},
                      {"min": "a", "max": 1.0, "points": 3},
-                     {"min": 0.0, "max": 1.0, "points": None}):
+                     {"min": 0.0, "max": 1.0, "points": None},
+                     {"min": 0.0, "max": 1.0, "points": 2.7},
+                     {"min": 0.0, "max": 1.0, "points": "3"},
+                     {"min": 0.0, "max": 1.0, "points": True}):
             with pytest.raises(ValueError):
                 resolve_axis(spec)
 

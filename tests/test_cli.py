@@ -296,6 +296,18 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("regime", ["qml", "pqml", "full"])
+    @pytest.mark.parametrize("flags", [["--t-max=-1e-9"], ["--t-steps", "0"],
+                                       ["--t-steps", "1"]],
+                             ids=["negative_t_max", "t_steps_0", "t_steps_1"])
+    def test_unphysical_time_grid(self, tmp_path, capsys, regime, flags):
+        doc = QML_DOC if regime == "qml" else FULL_DOC
+        out = tmp_path / "series.csv"
+        assert main([regime, "--config", write_config(tmp_path, doc),
+                     "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--tau", "-1"], ["--tau", "nan"],
                                        ["--tau", "inf"], ["--n-samples", "999"]])
     def test_inert_flags_still_validated(self, tmp_path, flags):

@@ -6,7 +6,7 @@ import pytest
 from qbmsbs.bath import BathSpec, EnvInitState, SystemSpec, sample_bath
 from qbmsbs.fullmodel import (ResonanceError, alpha_sq_full, alpha_sq_squeezed,
                               b_full, default_averaging_time, default_sample_count,
-                              full_amplitude, gamma_full, re_alpha_sq_full,
+                              gamma_full, re_alpha_sq_full,
                               time_average_numeric)
 from qbmsbs.pqml import avg_analytic, b_pqml, gamma_pqml, pqml_propagator
 from qbmsbs.units import DIMENSIONLESS_UNITS
@@ -94,12 +94,25 @@ class TestSqueezedAmplitude:
         v5 = alpha_sq_squeezed(t, W, O, M, C, 5.0, UNITLESS)
         assert v5 / v4 == pytest.approx(math.e ** 2, rel=0.05)
 
-    def test_container_consistency(self):
-        amp = full_amplitude(0.9, W, O, M, C, 0.7, UNITLESS)
-        assert amp.alpha_sq == alpha_sq_full(0.9, W, O, M, C, UNITLESS)
-        assert amp.re_alpha_sq == re_alpha_sq_full(0.9, W, O, M, C, UNITLESS)
-        assert amp.alpha_sq_squeezed == \
-            alpha_sq_squeezed(0.9, W, O, M, C, 0.7, UNITLESS)
+    @pytest.mark.parametrize("r", [4.0, 8.0])
+    def test_matches_high_precision_oracle(self, r):
+        # s [e^{-2r} Re z^2 + e^{2r} Im z^2] at 50 digits, from the same
+        # binary inputs; the ch - th Re bracket loses ~1e-11 here to cancellation
+        mp = pytest.importorskip("mpmath")
+        tt = np.linspace(0.0, 80.0, 2000)
+        got = alpha_sq_squeezed(tt, W, O, M, C, r, UNITLESS)
+        with mp.workdps(50):
+            w, o, r_ = mp.mpf(W), mp.mpf(O), mp.mpf(r)
+            s = mp.mpf(C) ** 2 / (2 * mp.mpf(M) * w * (w ** 2 - o ** 2) ** 2)
+            ref = []
+            for t in tt.tolist():
+                phi, theta = w * mp.mpf(t), o * mp.mpf(t)
+                z = mp.expj(phi) * (w * mp.cos(theta) - 1j * o * mp.sin(theta)) - w
+                ref.append(float(s * (mp.exp(-2 * r_) * z.real ** 2
+                                      + mp.exp(2 * r_) * z.imag ** 2)))
+        ref = np.array(ref)
+        assert got[0] == ref[0] == 0.0
+        assert np.max(np.abs(got[1:] - ref[1:]) / ref[1:]) <= 5e-12
 
 
 class TestFactors:
