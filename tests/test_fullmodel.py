@@ -94,6 +94,16 @@ class TestSqueezedAmplitude:
         v5 = alpha_sq_squeezed(t, W, O, M, C, 5.0, UNITLESS)
         assert v5 / v4 == pytest.approx(math.e ** 2, rel=0.05)
 
+    def test_container_consistency(self):
+        # the three amplitudes at one point obey
+        # squeezed = ch(2r) [|alpha|^2 - th(2r) Re alpha^2]
+        t, r = 0.9, 0.7
+        full = alpha_sq_full(t, W, O, M, C, UNITLESS)
+        re = re_alpha_sq_full(t, W, O, M, C, UNITLESS)
+        assert abs(re) <= full
+        assert alpha_sq_squeezed(t, W, O, M, C, r, UNITLESS) == pytest.approx(
+            math.cosh(2 * r) * (full - math.tanh(2 * r) * re), rel=1e-12)
+
     @pytest.mark.parametrize("r", [4.0, 8.0])
     def test_matches_high_precision_oracle(self, r):
         # s [e^{-2r} Re z^2 + e^{2r} Im z^2] at 50 digits, from the same
