@@ -291,6 +291,8 @@ def macrofraction_scaling(regime: str, sizes: Sequence[int], *,
     `size` oscillators of the bath.
     """
     sizes = [int(s) for s in sizes]
+    if any(s < 0 for s in sizes):
+        raise ValueError("sizes must be non-negative")
     if any(b_ < a_ for a_, b_ in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be non-decreasing")
     if regime == "qml":

@@ -25,31 +25,33 @@ class BathSpec:
     couplings: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        object.__setattr__(self, "couplings", tuple(float(c) for c in self.couplings))
-        n = len(self.omegas)
-        if len(self.masses) != n or len(self.couplings) != n:
-            raise ValueError("omegas, masses and couplings must have equal length")
-        for name, values in (("omegas", self.omegas),
-                             ("masses", self.masses),
-                             ("couplings", self.couplings)):
-            if not all(math.isfinite(v) and v > 0 for v in values):
+        # (omega, m, C) as read-only float arrays, built once; they are not
+        # dataclass fields, so equality and hashing still use the tuples.
+        arrays = []
+        for name in ("omegas", "masses", "couplings"):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.ndim != 1:
+                raise ValueError(f"{name} must be a flat sequence")
+            if not np.all((0 < a) & (a < math.inf)):
                 raise ValueError(f"all {name} must be finite and strictly positive")
+            a.flags.writeable = False
+            object.__setattr__(self, name, tuple(a.tolist()))
+            arrays.append(a)
+        if len({a.size for a in arrays}) != 1:
+            raise ValueError("omegas, masses and couplings must have equal length")
+        object.__setattr__(self, "_arrays", tuple(arrays))
 
     @property
     def n(self) -> int:
         return len(self.omegas)
 
     def arrays(self, idx: Sequence[int] | None = None):
-        """(omega, m, C) as float arrays, optionally restricted to idx."""
-        w = np.asarray(self.omegas)
-        m = np.asarray(self.masses)
-        c = np.asarray(self.couplings)
+        """(omega, m, C) as float arrays: the bath's own read-only arrays, or
+        copies restricted to idx."""
         if idx is None:
-            return w, m, c
+            return self._arrays
         ii = np.asarray(list(idx), dtype=int)
-        return w[ii], m[ii], c[ii]
+        return tuple(a[ii] for a in self._arrays)
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,7 @@ def sample_frequencies(n: int, omega_bar: float, delta: float, seed: int) -> tup
     if low <= 0:
         raise ValueError("lower band edge omega_bar - delta/2 must be positive")
     rng = np.random.default_rng(seed)
-    draws = rng.uniform(low, omega_bar + delta / 2.0, size=n)
-    return tuple(float(w) for w in draws)
+    return tuple(rng.uniform(low, omega_bar + delta / 2.0, size=n).tolist())
 
 
 def couplings_from_masses(masses: Sequence[float], mass_M: float, gamma0: float,
@@ -165,9 +166,10 @@ def couplings_from_masses(masses: Sequence[float], mass_M: float, gamma0: float,
         raise ValueError("prefactor must be 1 or 2")
     if mass_M <= 0 or gamma0 <= 0:
         raise ValueError("mass_M and gamma0 must be strictly positive")
-    if any(m <= 0 for m in masses):
+    m = np.asarray(masses, dtype=float)
+    if not np.all(m > 0):
         raise ValueError("all masses must be strictly positive")
-    return tuple(prefactor * math.sqrt(mass_M * m * gamma0 / math.pi) for m in masses)
+    return tuple((prefactor * np.sqrt(mass_M * m * gamma0 / math.pi)).tolist())
 
 
 def sample_bath(n: int, omega_bar: float, delta: float, seed: int, mass_M: float,

@@ -193,6 +193,8 @@ class RunConfig:
                 raise ConfigError("regime 'scan' requires run.t_range and run.r_range")
         if self.output.format not in ("csv", "json"):
             raise ConfigError("output.format must be 'csv' or 'json'")
+        if not (math.isfinite(self.run.epsilon) and 0.0 < self.run.epsilon <= 1.0):
+            raise ConfigError("run.epsilon must be finite and in (0, 1]")
         if self.run.threads < 1:
             raise ConfigError("run.threads must be at least 1")
         if self.run.tau is not None and not (math.isfinite(self.run.tau)

@@ -24,6 +24,10 @@ from .units import SI_UNITS, UnitContext
 
 LARGE_SEPARATION_MIN_RATIO = 10.0
 _LOW_TEMPERATURE_MIN_ARG = 10.0  # cth(10) - 1 ~ 4e-9
+# log_factor_series evaluates cos(w_k t) - 1 for at most this many
+# (oscillator, time) pairs per block: 8 MB of float64, whatever the number of
+# time steps.
+_SERIES_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -102,12 +106,19 @@ def log_factor_series(times, bath: BathSpec, system: SystemSpec,
                       which: str = "decoherence",
                       units: UnitContext = SI_UNITS) -> np.ndarray:
     """log factor on an array of times: sum_k a_k (cos w_k t - 1), with a_k the
-    I0 arguments of bessel_arguments."""
+    I0 arguments of bessel_arguments, over consecutive blocks of times."""
     _check_pqml_state(env_state)
     w = bath.arrays(idx)[0]
-    tt = np.atleast_1d(np.asarray(times, dtype=float))
+    tt = np.asarray(times, dtype=float).ravel()
     a = bessel_arguments(bath, system, env_state, idx, which, units)
-    return a @ (np.cos(np.outer(w, tt)) - 1.0)
+    out = np.empty(tt.size)
+    step = max(1, _SERIES_BLOCK_ENTRIES // max(1, w.size))
+    for start in range(0, tt.size, step):
+        block = np.outer(w, tt[start:start + step])
+        np.cos(block, out=block)
+        block -= 1.0
+        out[start:start + step] = a @ block
+    return out
 
 
 def _log_factor_scalar(t, bath, system, env_state, idx, which, units) -> float:

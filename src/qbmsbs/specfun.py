@@ -6,6 +6,9 @@ underflow in linear space, so every consumer accumulates log_value.
 Strategy: the all-positive power series up to z = 700 (no cancellation, so
 it is accurate to near machine precision even at several hundred terms) and
 the asymptotic expansion in log form beyond, where exp(z) overflows anyway.
+Both branches are written once, over numpy arrays: log_i0e evaluates a whole
+macrofraction in one call, running the series only over the entries that
+have not yet converged, and bessel_i0 is the same kernel at one argument.
 The defining integral evaluated by quadrature serves as the independent
 test oracle only.
 """
@@ -36,12 +39,13 @@ class I0Result:
 
 def bessel_i0(z: float) -> I0Result:
     """I0(z) for z >= 0, with its natural log for overflow-free products."""
-    if z < 0:
-        raise ValueError("bessel_i0 requires z >= 0")
+    if not 0 <= z < math.inf:
+        raise ValueError("bessel_i0 requires a finite z >= 0")
+    zz = np.array([z], dtype=float)
     if z <= _SERIES_CUTOFF:
-        value = _i0_series(z)
+        value = float(_i0_series(zz)[0])
         return I0Result(value=value, log_value=math.log(value))
-    log_value = _i0_log_asymptotic(z)
+    log_value = z + float(_log_i0e_asymptotic(zz)[0])
     try:
         value = math.exp(log_value)
     except OverflowError:
@@ -50,32 +54,52 @@ def bessel_i0(z: float) -> I0Result:
 
 
 def log_i0e(z) -> np.ndarray:
-    """log(e^{-z} I0(z)) for each entry of a sequence of z >= 0: the log of
-    the per-oscillator factor of the infinite-time averages."""
-    return np.array([-x + bessel_i0(x).log_value
-                     for x in np.asarray(z, dtype=float).tolist()])
+    """log(e^{-z} I0(z)) for each entry of an array (or scalar) of finite
+    z >= 0: the log of the per-oscillator factor of the infinite-time
+    averages. The result is an array of the shape of z."""
+    z = np.asarray(z, dtype=float)
+    if not np.all((0 <= z) & (z < math.inf)):
+        raise ValueError("log_i0e requires finite z >= 0")
+    out = np.empty_like(z)
+    series = z <= _SERIES_CUTOFF
+    zs = z[series]
+    out[series] = np.log(_i0_series(zs)) - zs
+    out[~series] = _log_i0e_asymptotic(z[~series])
+    return out
 
 
-def _i0_series(z: float) -> float:
+def _i0_series(z: np.ndarray) -> np.ndarray:
+    """sum_k (z^2/4)^k / (k!)^2 per entry, each stopped at its first term
+    <= 1e-18 of its partial sum; converged entries leave the working set."""
     q = 0.25 * z * z
-    term = 1.0
-    total = 1.0
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    out = np.empty_like(z)
+    active = np.arange(z.size)
     k = 1
-    while True:
+    while active.size:
         term *= q / (k * k)
         total += term
-        if term <= 1e-18 * total or k > 2000:
-            return total
+        done = term <= 1e-18 * total
+        if k > 2000:
+            done[:] = True
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, q, term, total = active[keep], q[keep], term[keep], total[keep]
         k += 1
+    return out
 
 
-def _i0_log_asymptotic(z: float) -> float:
-    corr = 1.0
-    zk = 1.0
+def _log_i0e_asymptotic(z: np.ndarray) -> np.ndarray:
+    """log(e^{-z} I0(z)) from A&S 9.7.1, -ln(2 pi z)/2 + ln(1 + sum_k a_k / z^k),
+    formed without z itself, so nothing cancels."""
+    corr = np.ones_like(z)
+    zk = np.ones_like(z)
     for a in _ASYMPTOTIC_COEFFS:
         zk *= z
         corr += a / zk
-    return z - 0.5 * math.log(2.0 * math.pi * z) + math.log(corr)
+    return np.log(corr) - 0.5 * np.log(2.0 * math.pi * z)
 
 
 def i0_asymptotic(z: float) -> float:

@@ -350,6 +350,19 @@ class TestMacrofractionScaling:
                                units=UNITLESS).log_avg_b
             assert logs[k + 1] - logs[k] == pytest.approx(per, rel=1e-10)
 
+    @pytest.mark.parametrize("sizes", [[-5, 10], [-1], [-3, -2]])
+    def test_negative_size_rejected(self, sizes):
+        bath = BathSpec(omegas=(1.7, 2.3, 2.9) * 4, masses=(1.0,) * 12,
+                        couplings=(0.8, 0.6, 0.7) * 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            macrofraction_scaling("pqml", sizes, bath=bath,
+                                  system=SystemSpec(1.0, 0.0, 0.0, 2.0),
+                                  env_state=EnvInitState(temperature=0.5),
+                                  units=UNITLESS)
+        params = QmlParams(dx=1.0, beta_eff=2.0, couplings=(1.0,))
+        with pytest.raises(ValueError, match="non-negative"):
+            macrofraction_scaling("qml", sizes, t=0.5, qml_params=params)
+
     def test_errors(self):
         params = QmlParams(dx=1.0, beta_eff=2.0, couplings=(1.0,))
         with pytest.raises(ValueError):

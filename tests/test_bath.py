@@ -172,3 +172,51 @@ class TestSpecs:
         for m in (1e-20, 1.0, 7.3):
             c = couplings_from_masses([m], 1e-5, 0.33e18, prefactor=2)[0]
             assert c * c / m == pytest.approx(4 * 1e-5 * 0.33e18 / math.pi, rel=1e-12)
+
+
+class TestBathArrays:
+    def test_built_once_and_read_only(self):
+        bath = BathSpec(omegas=(1.0, 2.0), masses=(1.0, 3.0), couplings=(0.5, 0.7))
+        arrays = bath.arrays()
+        assert all(a is b for a, b in zip(arrays, bath.arrays()))
+        for a, field in zip(arrays, (bath.omegas, bath.masses, bath.couplings)):
+            assert a.dtype == float and a.tolist() == list(field)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 9.0
+        assert bath.omegas == (1.0, 2.0)
+
+    def test_indexed_arrays_are_copies(self):
+        bath = BathSpec(omegas=(1.0, 2.0, 3.0), masses=(1.0,) * 3, couplings=(0.5,) * 3)
+        w, m, c = bath.arrays([2, 0])
+        assert w.tolist() == [3.0, 1.0] and m.tolist() == [1.0, 1.0]
+        w[0] = 9.0
+        assert bath.arrays()[0].tolist() == [1.0, 2.0, 3.0]
+
+    def test_equality_and_hash(self):
+        a = BathSpec(omegas=(1.0, 2.0), masses=(1.0, 1.0), couplings=(0.5, 0.7))
+        b = BathSpec(omegas=(1.0, 2.0), masses=(1.0, 1.0), couplings=(0.5, 0.7))
+        c = BathSpec(omegas=[1, 2], masses=np.ones(2), couplings=(0.5, 0.7))
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert type(c.omegas) is tuple and all(type(v) is float for v in c.omegas)
+        assert a != BathSpec(omegas=(1.0, 2.5), masses=(1.0, 1.0), couplings=(0.5, 0.7))
+
+    def test_empty_bath(self):
+        bath = BathSpec(omegas=(), masses=(), couplings=())
+        assert bath.n == 0 and all(a.shape == (0,) for a in bath.arrays())
+
+    def test_nested_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            BathSpec(omegas=((1.0, 2.0),), masses=(1.0,), couplings=(1.0,))
+
+    def test_builders_return_float_tuples(self):
+        w = sample_frequencies(5, 4.5e9, 3e9, seed=2)
+        c = couplings_from_masses([1.0, 2.0], 1e-5, 0.33e18, prefactor=2)
+        for values in (w, c):
+            assert type(values) is tuple and all(type(v) is float for v in values)
+        assert c[1] == 2 * math.sqrt(1e-5 * 2.0 * 0.33e18 / math.pi)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_couplings_reject_bad_masses(self, bad):
+        with pytest.raises(ValueError):
+            couplings_from_masses([1.0, bad], 1e-5, 0.33e18)

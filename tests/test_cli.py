@@ -308,6 +308,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1.5", "nan", "0", "-1"])
+    def test_epsilon_out_of_range(self, tmp_path, capsys, value):
+        out = tmp_path / "qml.csv"
+        assert main(["qml", "--config", write_config(tmp_path, QML_DOC),
+                     "--out", str(out), f"--epsilon={value}"]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--tau", "-1"], ["--tau", "nan"],
                                        ["--tau", "inf"], ["--n-samples", "999"]])
     def test_inert_flags_still_validated(self, tmp_path, flags):

@@ -100,6 +100,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             RunConfig.from_dict(doc).validate()
 
+    @pytest.mark.parametrize("value", [1.5, float("nan"), float("inf"), 0.0, -1.0])
+    def test_epsilon_in_unit_interval(self, value):
+        doc = minimal_scan_doc()
+        doc["run"]["epsilon"] = value
+        with pytest.raises(ConfigError, match="epsilon"):
+            RunConfig.from_dict(doc).validate()
+
+    def test_epsilon_one_accepted(self):
+        doc = minimal_scan_doc()
+        doc["run"]["epsilon"] = 1.0
+        RunConfig.from_dict(doc).validate()
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_t_max_finite(self, value):
         cfg = RunConfig.from_dict({"regime": "full", "env": {"temperature": 0.1},

@@ -5,8 +5,10 @@ import pytest
 
 from qbmsbs.bath import BathSpec, EnvInitState, SystemSpec, sample_bath
 from qbmsbs.fullmodel import time_average_numeric
-from qbmsbs.pqml import (avg_analytic, avg_asymptotic, b_pqml, check_large_separation,
-                         freq_averaged_scaling, gamma_pqml, pqml_propagator)
+from qbmsbs import pqml
+from qbmsbs.pqml import (avg_analytic, avg_asymptotic, b_pqml, bessel_arguments,
+                         check_large_separation, freq_averaged_scaling, gamma_pqml,
+                         log_factor_series, pqml_propagator)
 from qbmsbs.specfun import bessel_i0
 from qbmsbs.units import DIMENSIONLESS_UNITS, SI_UNITS
 
@@ -94,6 +96,38 @@ class TestFactors:
         squeezed = EnvInitState(temperature=0.01, squeezing_r=0.5)
         with pytest.raises(ValueError):
             gamma_pqml(1e-9, bath, system, squeezed)
+
+
+class TestBlockedSeries:
+    """log_factor_series takes the times in blocks of at most
+    _SERIES_BLOCK_ENTRIES (oscillators x times) entries."""
+
+    @pytest.mark.parametrize("block_entries", [None, 1, 7 * 2000 + 3])
+    def test_matches_unblocked_product(self, monkeypatch, system, env, block_entries):
+        if block_entries is not None:
+            monkeypatch.setattr(pqml, "_SERIES_BLOCK_ENTRIES", block_entries)
+        big = sample_bath(2000, 4.5e9, 3e9, seed=11, mass_M=1e-5, gamma0=0.33e18,
+                          prefactor=2)
+        times = np.linspace(0.0, 3e-9, 701)
+        # 2000 x 701 entries: 2 blocks of 524 and 177 times at the default
+        # size, 701 blocks of one time, or 100 blocks of 7 and one of 1
+        assert big.n * times.size > pqml._SERIES_BLOCK_ENTRIES
+        for which in ("decoherence", "distinguishability"):
+            a = bessel_arguments(big, system, env, None, which)
+            want = a @ (np.cos(np.outer(big.arrays()[0], times)) - 1.0)
+            got = log_factor_series(times, big, system, env, None, which)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_index_set_and_scalar_time(self, bath, system, env):
+        times = np.array([0.0, 1e-9, 2.5e-9])
+        got = log_factor_series(times, bath, system, env, idx=[2, 0])
+        a = bessel_arguments(bath, system, env, [2, 0])
+        w = np.array([bath.omegas[2], bath.omegas[0]])
+        np.testing.assert_allclose(got, a @ (np.cos(np.outer(w, times)) - 1.0),
+                                   rtol=1e-14, atol=0.0)
+        assert log_factor_series(1e-9, bath, system, env, idx=[2, 0]).tolist() == \
+            [got[1]]
+        assert log_factor_series([], bath, system, env).shape == (0,)
 
 
 class TestAvgAnalytic:
