@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fullmodel, pqml, qml
+from . import _floatfmt, fullmodel, pqml, qml
 from .bath import BathSpec, EnvInitState, Partition, SystemSpec
 from .specfun import log_i0e
 from .units import SI_UNITS, UnitContext
@@ -69,12 +69,11 @@ class ScanGrid:
     quadrature: dict = field(default_factory=dict)
 
     def to_csv_text(self) -> str:
-        lines = ["T,r,avg_gamma,avg_b"]
-        for i, t in enumerate(self.t_values):
-            for j, r in enumerate(self.r_values):
-                lines.append(f"{t:.16e},{r:.16e},"
-                             f"{self.avg_gamma[i][j]:.16e},{self.avg_b[i][j]:.16e}")
-        return "\n".join(lines) + "\n"
+        """Long format, one "%.16e" row per (T, r) cell, r varying fastest."""
+        nt, nr = len(self.t_values), len(self.r_values)
+        table = np.column_stack((np.repeat(self.t_values, nr), np.tile(self.r_values, nt),
+                                 np.ravel(self.avg_gamma), np.ravel(self.avg_b)))
+        return "T,r,avg_gamma,avg_b\n" + b"".join(_floatfmt.csv_blocks(table)).decode()
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,6 +87,13 @@ class ScanGrid:
         }
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The SBS threshold must lie in (0, 1]; epsilon = 1 counts every state
+    as formed, the trivial threshold."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
+
+
 def sbs_verdict(gamma: float, b: float, epsilon: float) -> SbsVerdict:
     """Spectrum broadcast structure has formed iff decoherence is complete
     (gamma <= eps) and the macrofraction states are distinguishable (b <= eps).
@@ -95,8 +101,7 @@ def sbs_verdict(gamma: float, b: float, epsilon: float) -> SbsVerdict:
     Decohered-but-indistinguishable (gamma small, b large) is the noisy
     regime where decoherence happened yet no information accumulated.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    check_epsilon(epsilon)
     return SbsVerdict(formed=(gamma <= epsilon and b <= epsilon),
                       gamma_value=gamma, b_value=b, epsilon=epsilon)
 
@@ -142,8 +147,7 @@ def formation_time(regime: str, *, partition: Partition, epsilon: float,
     """
     if t_max <= 0 or t_steps < 2:
         raise ValueError("t_max must be positive and t_steps at least 2")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
+    check_epsilon(epsilon)
     tt = np.linspace(0.0, t_max, t_steps)
     g, b = evaluate_factors(regime, tt, partition=partition, bath=bath,
                             system=system, env_state=env_state,

@@ -114,19 +114,26 @@ class Partition:
     macrofractions: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "unobserved", tuple(int(i) for i in self.unobserved))
-        object.__setattr__(
-            self, "macrofractions",
-            tuple(tuple(int(i) for i in mac) for mac in self.macrofractions))
-        seen: set[int] = set()
-        for group in (self.unobserved, *self.macrofractions):
-            gs = set(group)
-            if len(gs) != len(group):
-                raise ValueError("repeated index inside a partition group")
-            if seen & gs:
-                raise ValueError("partition groups must be pairwise disjoint")
-            seen |= gs
-        if any(i < 0 for i in seen):
+        groups = [_index_group(g) for g in (self.unobserved, *self.macrofractions)]
+        object.__setattr__(self, "unobserved", groups[0][0])
+        object.__setattr__(self, "macrofractions", tuple(g for g, _ in groups[1:]))
+        # A stable sort keeps equal indices in group order. Equal neighbours
+        # in one group are a repeat, in two groups an overlap; as in a
+        # group-by-group check, the first group holding a later copy decides
+        # which error is raised, a repeat before an overlap.
+        flat = np.concatenate([a for _, a in groups])
+        label = np.repeat(np.arange(len(groups)), [a.size for _, a in groups])
+        order = np.argsort(flat, kind="stable")
+        flat, label = flat[order], label[order]
+        equal = flat[1:] == flat[:-1]
+        same = label[1:] == label[:-1]
+        repeat = label[1:][equal & same].min(initial=len(groups))
+        overlap = label[1:][equal & ~same].min(initial=len(groups))
+        if repeat < len(groups) and repeat <= overlap:
+            raise ValueError("repeated index inside a partition group")
+        if overlap < len(groups):
+            raise ValueError("partition groups must be pairwise disjoint")
+        if flat.size and flat[0] < 0:
             raise ValueError("indices must be non-negative")
         if any(len(mac) == 0 for mac in self.macrofractions):
             raise ValueError("macrofractions must be non-empty")
@@ -135,6 +142,15 @@ class Partition:
         for group in (self.unobserved, *self.macrofractions):
             if any(i >= n for i in group):
                 raise ValueError(f"partition index out of range for bath of size {n}")
+
+
+def _index_group(group) -> tuple[tuple[int, ...], np.ndarray]:
+    """A partition group as a tuple of ints and as an int64 array; a range
+    needs no per-index conversion."""
+    if isinstance(group, range):
+        return tuple(group), np.arange(group.start, group.stop, group.step, dtype=np.int64)
+    ints = tuple(map(int, group))
+    return ints, np.fromiter(ints, np.int64, len(ints))
 
 
 def sample_frequencies(n: int, omega_bar: float, delta: float, seed: int) -> tuple[float, ...]:
@@ -195,10 +211,9 @@ def make_partition(n: int, unobserved_size: int, mac_sizes: Sequence[int]) -> Pa
     cursor = unobserved_size
     macs = []
     for s in mac_sizes:
-        macs.append(tuple(range(cursor, cursor + s)))
+        macs.append(range(cursor, cursor + s))
         cursor += s
-    return Partition(unobserved=tuple(range(unobserved_size)),
-                     macrofractions=tuple(macs))
+    return Partition(unobserved=range(unobserved_size), macrofractions=tuple(macs))
 
 
 def validate_offresonance(omegas: Sequence[float], omega_big: float,

@@ -10,7 +10,10 @@ and --threads are accepted and validated but have no effect.
 
 Exit codes: 0 success, 2 config error, 3 numerical guard, 4 selftest failure.
 Identical config and seed give byte-identical CSV output; timestamps live
-only in the sidecar.
+only in the sidecar. Every CSV number and every number of a sidecar array
+(the pqml i0_arguments_*) is "%.16e" text from the vectorised formatter in
+_floatfmt, written a block at a time; the other sidecar fields go through
+json.dumps.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, fullmodel, pqml, qml
+from . import _floatfmt, analysis, fullmodel, pqml, qml
 from .bath import EnvInitState
 from .config import ConfigError, RunConfig, build_bath, build_env, build_partition, \
     build_system, build_units
@@ -33,16 +36,32 @@ from .fullmodel import ResonanceError
 
 
 def write_series_csv(path: Path, times, gamma, b) -> None:
-    """CSV of the arrays times, gamma and b, one row per time."""
-    rows = map("{:.16e},{:.16e},{:.16e}".format, times.tolist(), gamma.tolist(),
-               b.tolist())
-    path.write_text("t,gamma,b\n" + "\n".join(rows) + "\n")
+    """CSV of the arrays times, gamma and b, one "%.16e" row per time,
+    written a block of rows at a time."""
+    with open(path, "wb") as f:
+        f.write(b"t,gamma,b\n")
+        for rows in _floatfmt.csv_blocks(np.column_stack((times, gamma, b))):
+            f.write(rows)
 
 
 def write_sidecar(path: Path, payload: dict) -> None:
+    """payload plus generated_at as indented, key-sorted JSON. Top-level
+    numpy arrays are data: they are written one number per line, with 17
+    significant digits, instead of passing through json's Python encoder."""
     payload = dict(payload)
     payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    arrays = {k: payload.pop(k) for k, v in list(payload.items())
+              if isinstance(v, np.ndarray)}
+    text = json.dumps({**payload, **dict.fromkeys(arrays)}, indent=2, sort_keys=True)
+    with open(path, "w") as f:
+        for key in sorted(arrays):
+            # a top-level key is the only line that starts with two spaces
+            # and a quote, and the keys come in sorted order
+            slot = f"\n  {json.dumps(key)}: "
+            head, _, text = text.partition(slot + "null")
+            f.write(head + slot)
+            f.writelines(_floatfmt.json_array(arrays[key]))
+        f.write(text + "\n")
 
 
 def _sidecar_path(out: Path) -> Path:
@@ -138,7 +157,7 @@ def _run_series(cfg: RunConfig, regime: str) -> int:
             avg = pqml.avg_analytic(bath, system, env, idx, which, units)
             log_avg = avg.log_avg_gamma if which == "decoherence" else avg.log_avg_b
             sidecar[f"log_avg_{name}"] = log_avg
-            sidecar[f"i0_arguments_{name}"] = list(avg.i0_arguments)
+            sidecar[f"i0_arguments_{name}"] = np.array(avg.i0_arguments)
             continue
         weights = pqml.thermal_weight(bath.arrays(idx)[0], env.temperature, units, which)
         avg = fullmodel.torus_average(bath, system, idx, weights[None, :],

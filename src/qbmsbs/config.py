@@ -19,6 +19,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
+from .analysis import check_epsilon
 from .bath import BathSpec, EnvInitState, Partition, SystemSpec, \
     couplings_from_masses, make_partition, sample_frequencies
 from .units import HBAR_SI, KB_SI, UnitContext
@@ -193,8 +194,10 @@ class RunConfig:
                 raise ConfigError("regime 'scan' requires run.t_range and run.r_range")
         if self.output.format not in ("csv", "json"):
             raise ConfigError("output.format must be 'csv' or 'json'")
-        if not (math.isfinite(self.run.epsilon) and 0.0 < self.run.epsilon <= 1.0):
-            raise ConfigError("run.epsilon must be finite and in (0, 1]")
+        try:
+            check_epsilon(self.run.epsilon)
+        except ValueError as exc:
+            raise ConfigError(f"run.{exc}") from None
         if self.run.threads < 1:
             raise ConfigError("run.threads must be at least 1")
         if self.run.tau is not None and not (math.isfinite(self.run.tau)

@@ -33,9 +33,11 @@ class TestVerdict:
         assert sbs_verdict(0.01, 0.01, epsilon=0.01).formed
 
     def test_epsilon_range(self):
-        for eps in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
+        for eps in (0.0, -0.5, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
                 sbs_verdict(0.5, 0.5, eps)
+        # epsilon = 1 is the trivial threshold: every state counts as formed
+        assert sbs_verdict(0.5, 0.5, 1.0).formed
 
 
 class TestEvaluateFactors:
@@ -114,9 +116,10 @@ class TestFormationTime:
         with pytest.raises(ValueError):
             formation_time("qml", partition=part, epsilon=0.01, t_max=0.0,
                            t_steps=10, qml_params=params)
-        with pytest.raises(ValueError):
-            formation_time("qml", partition=part, epsilon=1.5, t_max=1.0,
-                           t_steps=10, qml_params=params)
+        for eps in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                formation_time("qml", partition=part, epsilon=eps, t_max=1.0,
+                               t_steps=10, qml_params=params)
 
 
 class TestResolveAxis:

@@ -316,6 +316,13 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    def test_epsilon_one_accepted(self, tmp_path):
+        out = tmp_path / "qml.csv"
+        assert main(["qml", "--config", write_config(tmp_path, QML_DOC),
+                     "--out", str(out), "--epsilon=1"]) == 0
+        side = json.loads((tmp_path / "qml.csv.json").read_text())
+        assert side["formation_time"] == 0.0
+
     @pytest.mark.parametrize("flags", [["--tau", "-1"], ["--tau", "nan"],
                                        ["--tau", "inf"], ["--n-samples", "999"]])
     def test_inert_flags_still_validated(self, tmp_path, flags):

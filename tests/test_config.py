@@ -104,7 +104,7 @@ class TestValidation:
     def test_epsilon_in_unit_interval(self, value):
         doc = minimal_scan_doc()
         doc["run"]["epsilon"] = value
-        with pytest.raises(ConfigError, match="epsilon"):
+        with pytest.raises(ConfigError, match=r"run\.epsilon must lie in \(0, 1\]"):
             RunConfig.from_dict(doc).validate()
 
     def test_epsilon_one_accepted(self):

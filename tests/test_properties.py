@@ -97,3 +97,61 @@ def test_qml_series_matches_scalar_factors(couplings, beta, dx, tt, data):
                                    rel=1e-14)
         assert bv == pytest.approx(qml.b_qml(t, params, partition.macrofractions[0]),
                                    rel=1e-14)
+
+
+def assert_unit_factor(log_values):
+    """0 < factor <= 1, checked on the logs so that an underflowed factor
+    does not hide a wrong sign."""
+    log_values = np.asarray(log_values)
+    assert np.all(np.isfinite(log_values)) and np.all(log_values <= 0.0)
+
+
+def assert_gamma_below_b(log_gamma, log_b):
+    """Gamma <= B on one index set: cth >= th weigh the same amplitudes."""
+    log_gamma, log_b = np.asarray(log_gamma), np.asarray(log_b)
+    assert np.all(log_gamma <= log_b + 1e-12 * np.abs(log_b))
+
+
+@SETTINGS
+@given(couplings=st.lists(positive, min_size=1, max_size=6), beta=positive,
+       dx=positive, tt=times, data=st.data())
+def test_qml_factors_ordered_and_in_unit_interval(couplings, beta, dx, tt, data):
+    params = qml.QmlParams(dx=dx, beta_eff=beta, couplings=tuple(couplings))
+    idx = data.draw(st.lists(st.sampled_from(range(len(couplings))), unique=True))
+    log_g, log_b = qml.log_gamma_qml(tt, params, idx), qml.log_b_qml(tt, params, idx)
+    assert_unit_factor(log_g)
+    assert_unit_factor(log_b)
+    assert_gamma_below_b(log_g, log_b)
+
+
+@SETTINGS
+@given(bath=baths(), omega_big=st.floats(0.0, 3.0), temperature=positive,
+       r=st.floats(-2.0, 3.0), dx=positive, tt=times,
+       regime=st.sampled_from(["pqml", "full"]))
+def test_series_factors_ordered_and_in_unit_interval(bath, omega_big, temperature, r,
+                                                     dx, tt, regime):
+    model = {"pqml": pqml, "full": fullmodel}[regime]
+    if regime == "pqml":
+        omega_big, r = 0.0, 0.0
+    assume(off_resonance(bath.omegas, omega_big))
+    system = SystemSpec(mass_M=1.0, omega_big=omega_big, x1=0.0, x2=dx)
+    env = EnvInitState(temperature=temperature, squeezing_r=r)
+    log_g, log_b = (model.log_factor_series(tt, bath, system, env, None, which, UNITLESS)
+                    for which in ("decoherence", "distinguishability"))
+    assert_unit_factor(log_g)
+    assert_unit_factor(log_b)
+    assert_gamma_below_b(log_g, log_b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(bath=baths(max_size=3), omega_big=st.floats(0.0, 3.0), temperature=positive,
+       r=st.floats(-1.5, 1.5), dx=st.floats(0.2, 1.5))
+def test_torus_average_ordered_and_in_unit_interval(bath, omega_big, temperature, r, dx):
+    assume(off_resonance(bath.omegas, omega_big))
+    assume(len(set(bath.omegas)) == bath.n)
+    system = SystemSpec(mass_M=1.0, omega_big=omega_big, x1=0.0, x2=dx)
+    weights = np.stack([pqml.thermal_weight(bath.omegas, temperature, UNITLESS, which)
+                        for which in ("decoherence", "distinguishability")])
+    avg = fullmodel.torus_average(bath, system, range(bath.n), weights, r, UNITLESS)
+    assert_unit_factor(avg.log_value)
+    assert_gamma_below_b(avg.log_value[0], avg.log_value[1])
