@@ -6,7 +6,7 @@ from .analysis import (FormationResult, SbsVerdict, ScanGrid, ScalingResult,
                        sbs_verdict, scan_tr)
 from .bath import (BathSpec, EnvInitState, Partition, SystemSpec,
                    couplings_from_masses, make_partition, sample_bath,
-                   sample_frequencies, validate_offresonance)
+                   sample_frequencies)
 from .fullmodel import (ResonanceError, TimeAverage, TorusAverage, alpha_sq_full,
                         alpha_sq_squeezed, b_full, gamma_full, re_alpha_sq_full,
                         time_average_numeric, torus_average)

@@ -112,25 +112,25 @@ def evaluate_factors(regime: str, times, *, partition: Partition,
                      env_state: EnvInitState | None = None,
                      qml_params: qml.QmlParams | None = None,
                      units: UnitContext = SI_UNITS):
-    """(gamma, b) arrays over a time grid for the given regime. gamma uses
-    the unobserved set, b the first observed macrofraction (empty set if no
-    macrofraction is defined, giving b = 1)."""
+    """(gamma, b) arrays over a time grid for the given regime, one per
+    partition.factor_sets() entry: gamma over the unobserved set, b over the
+    first macrofraction (b = 1 if there is none). The partition must fit the
+    bath (the couplings for qml)."""
     tt = np.atleast_1d(np.asarray(times, dtype=float))
-    idx_g = partition.unobserved
-    idx_b = partition.macrofractions[0] if partition.macrofractions else ()
     if regime == "qml":
         if qml_params is None:
             raise ValueError("qml regime requires qml_params")
-        return (np.exp(qml.log_gamma_qml(tt, qml_params, idx_g)),
-                np.exp(qml.log_b_qml(tt, qml_params, idx_b)))
+        partition.validate_against(len(qml_params.couplings))
+        log_qml = {"decoherence": qml.log_gamma_qml, "distinguishability": qml.log_b_qml}
+        return tuple(np.exp(log_qml[which](tt, qml_params, idx))
+                     for _, idx, which in partition.factor_sets())
     models = {"pqml": pqml, "full": fullmodel}
     if regime not in models:
         raise ValueError(f"unknown regime '{regime}'")
-    model = models[regime]
-    return (np.exp(model.log_factor_series(tt, bath, system, env_state, idx_g,
-                                           "decoherence", units)),
-            np.exp(model.log_factor_series(tt, bath, system, env_state, idx_b,
-                                           "distinguishability", units)))
+    partition.validate_against(bath.n)
+    return tuple(np.exp(models[regime].log_factor_series(tt, bath, system, env_state,
+                                                         idx, which, units))
+                 for _, idx, which in partition.factor_sets())
 
 
 def formation_time(regime: str, *, partition: Partition, epsilon: float,
@@ -170,17 +170,8 @@ def _qml_formation_prediction(params: qml.QmlParams, partition: Partition,
     """Analytic crossing time: the later of the gamma and b crossings, with
     exact per-set mean-square couplings (b is the slower one for equal sets)."""
     log_eps = math.log(1.0 / epsilon)
-    times = []
-    idx_b = partition.macrofractions[0] if partition.macrofractions else ()
-    for idx, which in ((partition.unobserved, "decoherence"),
-                       (idx_b, "distinguishability")):
-        if not idx:
-            continue
-        c2 = [params.couplings[i] ** 2 for i in idx]
-        ts = qml.timescales(params.dx, params.beta_eff, math.fsum(c2) / len(c2))
-        tau = ts.tau_d if which == "decoherence" else ts.tau_b
-        times.append(tau * math.sqrt(log_eps / len(c2)))
-    return max(times) if times else 0.0
+    return max((qml.set_timescales(params, idx).tau(which) * math.sqrt(log_eps / len(idx))
+                for _, idx, which in partition.factor_sets() if len(idx)), default=0.0)
 
 
 def _axis_number(value, what: str) -> float:
@@ -237,11 +228,8 @@ def scan_tr(bath: BathSpec, system: SystemSpec, partition: Partition,
     if np.any(temps <= 0):
         raise ValueError("temperatures must be strictly positive")
 
-    idx_g = partition.unobserved
-    idx_b = partition.macrofractions[0] if partition.macrofractions else ()
     columns = {}
-    for factor, idx, which in (("gamma", idx_g, "decoherence"),
-                               ("b", idx_b, "distinguishability")):
+    for factor, idx, which in partition.factor_sets():
         # thermal weights per temperature, (nT, len(idx))
         weights = pqml.thermal_weight(bath.arrays(idx)[0], temps[:, None], units, which)
         columns[factor] = [fullmodel.torus_average(bath, system, idx, weights,
@@ -273,7 +261,7 @@ def scan_tr(bath: BathSpec, system: SystemSpec, partition: Partition,
         avg_b=by_temperature(columns["b"], lambda c: map(math.exp, c.log_value)),
         bath_fingerprint=dict(bath_fingerprint or {"n": bath.n}),
         partition_descriptor={
-            "unobserved_size": len(idx_g),
+            "unobserved_size": len(partition.unobserved),
             "mac_sizes": [len(mac) for mac in partition.macrofractions],
         },
         quadrature=quadrature)
@@ -304,8 +292,7 @@ def macrofraction_scaling(regime: str, sizes: Sequence[int], *,
             raise ValueError("qml scaling requires qml_params and t")
         mean_c2 = c2_mean if c2_mean is not None else \
             math.fsum(c * c for c in qml_params.couplings) / len(qml_params.couplings)
-        ts = qml.timescales(qml_params.dx, qml_params.beta_eff, mean_c2)
-        tau = ts.tau_d if which == "decoherence" else ts.tau_b
+        tau = qml.timescales(qml_params.dx, qml_params.beta_eff, mean_c2).tau(which)
         logs = [-s * (t / tau) ** 2 for s in sizes]
     elif regime == "pqml":
         if bath is None or system is None or env_state is None:

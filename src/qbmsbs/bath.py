@@ -47,10 +47,10 @@ class BathSpec:
 
     def arrays(self, idx: Sequence[int] | None = None):
         """(omega, m, C) as float arrays: the bath's own read-only arrays, or
-        copies restricted to idx."""
+        copies restricted to idx; an int array idx is used as it is."""
         if idx is None:
             return self._arrays
-        ii = np.asarray(list(idx), dtype=int)
+        ii = np.asarray(idx, dtype=np.intp)
         return tuple(a[ii] for a in self._arrays)
 
 
@@ -108,7 +108,8 @@ class EnvInitState:
 class Partition:
     """Index sets: the unobserved (traced-out) fraction and the observed
     macrofractions. All sets are pairwise disjoint; their union need not
-    cover the whole bath."""
+    cover the whole bath. Each set is also kept as a read-only int64 array,
+    which factor_sets hands out."""
 
     unobserved: tuple[int, ...]
     macrofractions: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
@@ -117,6 +118,9 @@ class Partition:
         groups = [_index_group(g) for g in (self.unobserved, *self.macrofractions)]
         object.__setattr__(self, "unobserved", groups[0][0])
         object.__setattr__(self, "macrofractions", tuple(g for g, _ in groups[1:]))
+        for _, a in groups:
+            a.flags.writeable = False
+        object.__setattr__(self, "_arrays", tuple(a for _, a in groups))
         # A stable sort keeps equal indices in group order. Equal neighbours
         # in one group are a repeat, in two groups an overlap; as in a
         # group-by-group check, the first group holding a later copy decides
@@ -139,9 +143,17 @@ class Partition:
             raise ValueError("macrofractions must be non-empty")
 
     def validate_against(self, n: int) -> None:
-        for group in (self.unobserved, *self.macrofractions):
-            if any(i >= n for i in group):
-                raise ValueError(f"partition index out of range for bath of size {n}")
+        if max(a.max(initial=-1) for a in self._arrays) >= n:
+            raise ValueError(f"partition index out of range for bath of size {n}")
+
+    def factor_sets(self) -> tuple[tuple[str, np.ndarray, str], ...]:
+        """The sets the SBS factors run over, as (name, index array, weight
+        kind): gamma on the unobserved set, and b on the first macrofraction
+        (an empty set if there is none). Later macrofractions are validated
+        but not evaluated."""
+        unobserved, *macs = self._arrays
+        first = macs[0] if macs else unobserved[:0]
+        return (("gamma", unobserved, "decoherence"), ("b", first, "distinguishability"))
 
 
 def _index_group(group) -> tuple[tuple[int, ...], np.ndarray]:
@@ -214,14 +226,3 @@ def make_partition(n: int, unobserved_size: int, mac_sizes: Sequence[int]) -> Pa
         macs.append(range(cursor, cursor + s))
         cursor += s
     return Partition(unobserved=range(unobserved_size), macrofractions=tuple(macs))
-
-
-def validate_offresonance(omegas: Sequence[float], omega_big: float,
-                          margin: float) -> bool:
-    """True iff every bath frequency is off-resonant with the system:
-    omega_k >= margin * Omega or omega_k <= Omega / margin."""
-    if margin <= 1:
-        raise ValueError("margin must exceed 1")
-    if omega_big == 0:
-        return True
-    return all(w >= margin * omega_big or w <= omega_big / margin for w in omegas)

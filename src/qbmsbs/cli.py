@@ -112,14 +112,12 @@ def run_qml(cfg: RunConfig) -> int:
     write_series_csv(out, times, g, b)
 
     sidecar = {"config": cfg.to_dict(), "seed": cfg.bath.seed}
-    for name, idx in (("unobserved", partition.unobserved),
-                      ("macrofraction", partition.macrofractions[0]
-                       if partition.macrofractions else ())):
-        if idx:
-            c2 = [params.couplings[i] ** 2 for i in idx]
-            ts = qml.timescales(params.dx, params.beta_eff, math.fsum(c2) / len(c2))
-            sidecar[f"tau_d_{name}"] = ts.tau_d
-            sidecar[f"tau_b_{name}"] = ts.tau_b
+    set_names = {"gamma": "unobserved", "b": "macrofraction"}
+    for name, idx, _ in partition.factor_sets():
+        if len(idx):
+            ts = qml.set_timescales(params, idx)
+            sidecar[f"tau_d_{set_names[name]}"] = ts.tau_d
+            sidecar[f"tau_b_{set_names[name]}"] = ts.tau_b
     formation = analysis.formation_time(
         "qml", partition=partition, epsilon=cfg.run.epsilon,
         t_max=cfg.run.t_max, t_steps=cfg.run.t_steps, qml_params=params)
@@ -147,17 +145,14 @@ def _run_series(cfg: RunConfig, regime: str) -> int:
         sidecar.update(average="infinite-time torus quadrature",
                        quadrature_tolerance=fullmodel.TORUS_TOLERANCE,
                        quadrature_nodes={}, quadrature_capped={}, convergence={})
-    for name, idx, which in (
-            ("gamma", partition.unobserved, "decoherence"),
-            ("b", partition.macrofractions[0] if partition.macrofractions else (),
-             "distinguishability")):
-        if not idx:
+    for name, idx, which in partition.factor_sets():
+        if not len(idx):
             continue
         if regime == "pqml":
             avg = pqml.avg_analytic(bath, system, env, idx, which, units)
             log_avg = avg.log_avg_gamma if which == "decoherence" else avg.log_avg_b
             sidecar[f"log_avg_{name}"] = log_avg
-            sidecar[f"i0_arguments_{name}"] = np.array(avg.i0_arguments)
+            sidecar[f"i0_arguments_{name}"] = avg.i0_arguments
             continue
         weights = pqml.thermal_weight(bath.arrays(idx)[0], env.temperature, units, which)
         avg = fullmodel.torus_average(bath, system, idx, weights[None, :],

@@ -38,17 +38,18 @@ class PqmlPropagator:
     zeta: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AvgResult:
     """Analytic infinite-time averages in log space.
 
     i0_arguments[k] = a_k of the k-th factor exp(-a_k) I0(a_k), for gamma
-    when it was computed and for b otherwise.
+    when it was computed and for b otherwise, as a read-only float64 array;
+    since it holds an array, a result compares equal only to itself.
     """
 
     log_avg_gamma: float | None
     log_avg_b: float | None
-    i0_arguments: tuple[float, ...]
+    i0_arguments: np.ndarray
 
     @property
     def avg_gamma(self) -> float:
@@ -175,12 +176,14 @@ def avg_analytic(bath: BathSpec, system: SystemSpec, env_state: EnvInitState,
 
     if which not in ("decoherence", "distinguishability", "both"):
         raise ValueError("which must be 'decoherence', 'distinguishability' or 'both'")
-    logs, arguments = {}, ()
+    logs, arguments = {}, None
     for kind in ("decoherence", "distinguishability"):
         if which in (kind, "both"):
             args = bessel_arguments(bath, system, env_state, idx, kind, units)
             logs[kind] = math.fsum(log_i0e(args).tolist())
-            arguments = arguments or tuple(args.tolist())
+            if arguments is None:
+                arguments = args
+    arguments.flags.writeable = False
     return AvgResult(log_avg_gamma=logs.get("decoherence"),
                      log_avg_b=logs.get("distinguishability"), i0_arguments=arguments)
 

@@ -44,6 +44,14 @@ class Timescales:
     tau_d: float
     tau_b: float
 
+    def tau(self, which: str) -> float:
+        """tau_d for 'decoherence', tau_b for 'distinguishability'."""
+        if which == "decoherence":
+            return self.tau_d
+        if which == "distinguishability":
+            return self.tau_b
+        raise ValueError("which must be 'decoherence' or 'distinguishability'")
+
 
 def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
@@ -103,6 +111,12 @@ def timescales(dx: float, beta_eff: float, c2_mean: float) -> Timescales:
     return Timescales(tau_d=1.0 / rate_d, tau_b=1.0 / rate_b)
 
 
+def set_timescales(params: QmlParams, idx: Sequence[int]) -> Timescales:
+    """Timescales of a non-empty index set, from the fsum mean of its C_k^2."""
+    c2 = [params.couplings[i] ** 2 for i in idx]
+    return timescales(params.dx, params.beta_eff, math.fsum(c2) / len(c2))
+
+
 def lln_factors(t: float, dx: float, beta_eff: float, c2_mean: float, size: int,
                 which: str = "decoherence", log: bool = False) -> float:
     """Law-of-large-numbers form exp[-size (t/tau)^2] for large index sets
@@ -111,12 +125,6 @@ def lln_factors(t: float, dx: float, beta_eff: float, c2_mean: float, size: int,
         raise ValueError("size must be at least 1")
     if t < 0:
         raise ValueError("t must be non-negative")
-    ts = timescales(dx, beta_eff, c2_mean)
-    if which == "decoherence":
-        tau = ts.tau_d
-    elif which == "distinguishability":
-        tau = ts.tau_b
-    else:
-        raise ValueError("which must be 'decoherence' or 'distinguishability'")
+    tau = timescales(dx, beta_eff, c2_mean).tau(which)
     lv = 0.0 if t == 0 else -size * (t / tau) ** 2
     return lv if log else math.exp(lv)

@@ -110,6 +110,17 @@ class TestFormationTime:
         assert res.reached
         assert res.max_after_crossing > 0.9
 
+    @pytest.mark.parametrize("regime", ["qml", "pqml", "full"])
+    def test_partition_must_fit_the_bath(self, regime):
+        bath = BathSpec(omegas=(2.0, 3.0), masses=(1.0, 1.0), couplings=(1.0, 1.0))
+        params = QmlParams(dx=1.0, beta_eff=2.0, couplings=bath.couplings)
+        with pytest.raises(ValueError, match="bath of size 2"):
+            formation_time(regime, partition=make_partition(3, 1, [2]), epsilon=0.01,
+                           t_max=1.0, t_steps=10, bath=bath,
+                           system=SystemSpec(1.0, 0.5, 0.0, 1.0),
+                           env_state=EnvInitState(temperature=0.5),
+                           qml_params=params, units=UNITLESS)
+
     def test_bad_arguments(self):
         part = make_partition(2, 1, [1])
         params = QmlParams(dx=1.0, beta_eff=2.0, couplings=(1.0, 1.0))

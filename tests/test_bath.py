@@ -5,7 +5,7 @@ import pytest
 
 from qbmsbs.bath import (BathSpec, EnvInitState, Partition, SystemSpec,
                          couplings_from_masses, make_partition, sample_bath,
-                         sample_frequencies, validate_offresonance)
+                         sample_frequencies)
 from qbmsbs.units import UnitContext
 
 
@@ -131,23 +131,6 @@ class TestPartition:
             groups = [set(p.unobserved)] + [set(m) for m in p.macrofractions]
             total = sum(len(g) for g in groups)
             assert len(set().union(*groups)) == total if groups else True
-
-
-class TestOffResonance:
-    def test_reference_band_is_off_resonant(self):
-        omegas = sample_frequencies(100, 4.5e9, 3e9, seed=1)
-        assert validate_offresonance(omegas, 3e8, margin=5.0)
-
-    def test_exact_resonance_fails(self):
-        assert not validate_offresonance([3e8], 3e8, margin=5.0)
-
-    def test_one_member_failing_fails_all(self):
-        big = 3e8
-        assert not validate_offresonance([big * 4.9, big * 10], big, margin=5.0)
-
-    def test_margin_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            validate_offresonance([1.0], 1.0, margin=1.0)
 
 
 class TestSpecs:

@@ -230,6 +230,20 @@ class TestScanCommand:
         assert out1.read_bytes() != out2.read_bytes()
 
 
+@pytest.mark.parametrize("regime", ["qml", "pqml", "full", "scan"])
+def test_b_uses_only_the_first_macrofraction(tmp_path, regime):
+    # a second macrofraction is validated but changes no number
+    doc = {**FULL_DOC, "bath": {**FULL_DOC["bath"], "n": 8},
+           "env": {"temperature": 1.0}, "run": {**FULL_DOC["run"], **SCAN_DOC["run"]}}
+    outs = []
+    for macs in ([3, 4], [3]):
+        doc["partition"] = {"unobserved_size": 1, "mac_sizes": macs}
+        out = tmp_path / f"{len(macs)}.csv"
+        assert main([regime, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path):
         cfg = write_config(tmp_path, {"bath": {"bogus": 1}})

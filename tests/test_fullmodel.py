@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qbmsbs.bath import BathSpec, EnvInitState, SystemSpec, sample_bath
-from qbmsbs.fullmodel import (ResonanceError, alpha_sq_full, alpha_sq_squeezed,
-                              b_full, default_averaging_time, default_sample_count,
+from qbmsbs.fullmodel import (ResonanceError, _amplitude, alpha_sq_full,
+                              alpha_sq_squeezed, b_full, default_averaging_time,
+                              default_sample_count,
                               gamma_full, re_alpha_sq_full,
                               time_average_numeric)
 from qbmsbs.pqml import avg_analytic, b_pqml, gamma_pqml, pqml_propagator
@@ -86,6 +87,12 @@ class TestSqueezedAmplitude:
             vals = np.array([alpha_sq_squeezed(float(t), W, O, M, C, r, UNITLESS)
                              for t in tt[:: 100]])
             assert np.all(vals >= -1e-18)
+
+    def test_negative_r_squeezes_the_conjugate_quadrature(self):
+        t, r = 0.9, 0.7
+        s, zr, zi = _amplitude(t, W, O, M, C, UNITLESS)
+        assert alpha_sq_squeezed(t, W, O, M, C, -r, UNITLESS) == \
+            s * (math.exp(2 * r) * zr * zr + math.exp(-2 * r) * zi * zi)
 
     def test_exponential_growth_at_large_r(self):
         # th(2r) ~ 1 for r >= 4, so one more unit of r multiplies by ~e^2

@@ -67,6 +67,19 @@ def test_make_partition_holds_tuples():
         p.validate_against(99_999)
 
 
+def test_factor_sets():
+    p = Partition(unobserved=(4, 0), macrofractions=((1, 2), (3,)))
+    (g_name, g_idx, g_kind), (b_name, b_idx, b_kind) = p.factor_sets()
+    assert (g_name, g_kind, b_name, b_kind) == ("gamma", "decoherence",
+                                                "b", "distinguishability")
+    # b runs over the first macrofraction only
+    assert g_idx.tolist() == [4, 0] and b_idx.tolist() == [1, 2]
+    (_, _, _), (_, empty, _) = Partition(unobserved=range(3)).factor_sets()
+    assert empty.size == 0
+    for idx in (g_idx, b_idx, empty):
+        assert idx.dtype == np.int64 and not idx.flags.writeable
+
+
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 

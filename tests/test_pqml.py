@@ -141,6 +141,9 @@ class TestAvgAnalytic:
         res = avg_analytic(bath, system, env)
         total = sum(-a + bessel_i0(a).log_value for a in res.i0_arguments)
         assert res.log_avg_gamma == pytest.approx(total, rel=1e-12)
+        assert res.i0_arguments.dtype == np.float64
+        assert not res.i0_arguments.flags.writeable
+        assert res == res and res != avg_analytic(bath, system, env)
 
     def test_matches_numeric_time_average(self, bath, system, env):
         tau = 1e4 * 2 * math.pi / min(bath.omegas)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qbmsbs.qml import QmlParams, b_qml, gamma_qml, lln_factors, timescales
+from qbmsbs.qml import (QmlParams, b_qml, gamma_qml, lln_factors, set_timescales,
+                        timescales)
 
 
 def coth(x):
@@ -91,6 +92,18 @@ class TestTimescales:
     def test_never_decays_at_zero_separation(self):
         ts = timescales(0.0, 2.0, 1.0)
         assert math.isinf(ts.tau_d) and math.isinf(ts.tau_b)
+
+
+    def test_tau_by_weight_kind(self):
+        ts = timescales(1.0, 2.0, 1.0)
+        assert ts.tau("decoherence") == ts.tau_d
+        assert ts.tau("distinguishability") == ts.tau_b
+        with pytest.raises(ValueError, match="which"):
+            ts.tau("gamma")
+
+    def test_set_timescales_use_the_set_mean(self):
+        params = QmlParams(dx=1.0, beta_eff=2.0, couplings=(0.5, 9.0, 1.5))
+        assert set_timescales(params, np.array([0, 2])) == timescales(1.0, 2.0, 1.25)
 
 
 class TestLln:
